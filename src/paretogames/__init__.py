@@ -25,6 +25,7 @@ from .errors import (
     InvalidGame,
     InvalidStrategy,
     InvalidValuation,
+    InvariantBroken,
     NonPositiveEpsilon,
     NotStopping,
     NotStoppingUnderPolicy,
@@ -87,6 +88,7 @@ from .bellman import (
 from .mdp import (
     induce_mdp,
     mdp_pareto_curve,
+    mdp_pareto_curves,
     optimal_policy,
     policy_evaluate,
 )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .errors import RelationMismatch
+from .errors import InvariantBroken, RelationMismatch
 from .frontier import (
     MINUS_INFINITY,
     Frontier,
@@ -249,7 +249,8 @@ def audit_p2(
         x0 = x - rx
         y1 = evaluate(succ1, x0)
         y2 = evaluate(succ2, x0)
-        assert y1 is not None and y2 is not None  # x0 <= x_cap by construction
+        if y1 is None or y2 is None:  # x0 <= x_cap by construction
+            raise InvariantBroken(f"x={x0} lies beyond x_cap={x_cap}")
         l0, r0 = slope_at(parent, x)
         l1, r1 = slope_at(succ1, x0)
         l2, r2 = slope_at(succ2, x0)

@@ -26,6 +26,7 @@ from typing import Mapping
 
 from .errors import (
     IncompleteCurveMap,
+    InvariantBroken,
     NonPositiveEpsilon,
     NotStopping,
 )
@@ -59,8 +60,12 @@ class IterationResult:
     history: tuple[CurveMap, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        assert not self.fixpoint_reached or self.converged
-        assert self.residual_bound is None or self.residual_bound >= 0
+        if self.fixpoint_reached and not self.converged:
+            raise InvariantBroken("a reached fixpoint must count as converged")
+        if self.residual_bound is not None and self.residual_bound < 0:
+            raise InvariantBroken(
+                f"negative residual bound {self.residual_bound}"
+            )
 
 
 def initial_curves(g: Game) -> CurveMap:
@@ -223,7 +228,8 @@ def value_iterate(
                 history=tuple(history),
             )
         if stopping:
-            assert ceiling is not None
+            if ceiling is None:
+                raise InvariantBroken("stopping game without a tail ceiling")
             alive = _alive_step(g, alive)
             residual = min(
                 tail_bound(g, iterations),

@@ -15,7 +15,7 @@ path compatible with the attractor strategy.  From any non-target
 configuration each step raises p by at least W^|V| - W^(|V|+1) exactly — at
 Eve vertices because the best successor beats the weight-average, at Adam
 vertices because every successor strictly descends a — which yields the
-step-bounded reachability guarantee that the simulator asserts per step.
+step-bounded reachability guarantee that the simulator checks per step.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     HypothesisViolated,
     InvalidBettingGame,
     InvalidValuation,
+    InvariantBroken,
     NotWinningVertex,
     StepBoundExceeded,
     UnknownState,
@@ -231,7 +232,10 @@ def _eve_pick(
         p = di + w ** attr.a[t] - w ** size
         if best_p is None or p > best_p:
             best, best_p = BettingConfig(t, di), p
-    assert best is not None  # v winning => at least one successor winning
+    if best is None:
+        raise InvariantBroken(
+            f"{v.id}: winning Eve vertex without a winning successor"
+        )
     return best
 
 
@@ -431,8 +435,14 @@ def simulate(
     """Play Eve's potential strategy against the supplied adversary until
     the play sits on a target vertex with at least the initial credit, or
     the credit reaches B.  Requires Eve to win the reachability game from
-    every vertex.  Asserts the exact per-step potential increment along the
-    way and never runs past the derived step bound."""
+    every vertex.  Checks the exact per-step potential increment along the
+    way (raising InvariantBroken if it fails) and never runs past the
+    derived step bound.
+
+    A credit of 0 can never grow again (every valuation must then be
+    (0, 0)), so once the play sits on a target with credit 0 below a
+    positive initial credit no target configuration is reachable; the play
+    ends there as if the step limit were hit."""
     require_valid_betting(bg)
     targets = frozenset(T)
     attr = attractor(bg, targets)
@@ -453,24 +463,25 @@ def simulate(
     config = bg.initial
     steps = [TraceStep(0, config.vertex, config.credit, potential(bg, attr, config))]
 
-    def at_target(cfg: BettingConfig) -> str | None:
-        if cfg.credit >= B:
-            return "target-bound"
-        if cfg.vertex in targets and cfg.credit >= c0:
-            return "target-credit"
-        return None
-
     n = 0
     while True:
-        ending = at_target(config)
-        if ending is not None:
-            return Trace(tuple(steps), True, ending, bound)
-        if n >= limit:
+        if config.credit >= B:
+            return Trace(tuple(steps), True, "target-bound", bound)
+        exhausted = False
+        if config.vertex in targets:
+            if config.credit >= c0:
+                return Trace(tuple(steps), True, "target-credit", bound)
+            exhausted = config.credit == 0
+        if n >= limit or exhausted:
             if max_steps is not None and max_steps < bound:
                 return Trace(tuple(steps), False, "max-steps", bound)
-            raise StepBoundExceeded(
-                f"no target configuration within {limit} steps"
-            )
+            reason = f"no target configuration within {limit} steps"
+            if exhausted:
+                reason += (
+                    f": credit exhausted at target {config.vertex} after {n}"
+                    f" steps, and 0 never regains the initial credit {c0}"
+                )
+            raise StepBoundExceeded(reason)
         v = bg.vertex(config.vertex)
         if v.kind == BetKind.EVE:
             d = adam.valuation(bg, v, config.credit)
@@ -488,8 +499,8 @@ def simulate(
             nxt = BettingConfig(choice, config.credit)
         p_now = potential(bg, attr, config)
         p_next = potential(bg, attr, nxt)
-        if config.vertex not in targets:
-            assert p_next - p_now >= delta, (
+        if config.vertex not in targets and p_next - p_now < delta:
+            raise InvariantBroken(
                 f"potential increment {p_next - p_now} below {delta} "
                 f"at step {n} from {config}"
             )

@@ -2,9 +2,11 @@
 
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal
-limit reached (iteration cap without convergence, betting step bound).
-Every error exits through a single one-line, machine-parsable message on
-stderr: ``error: <ExceptionName>: <detail>``.
+limit reached (iteration cap without convergence, betting step bound or
+exhausted betting credit); 4 internal fault (a broken invariant, i.e. a bug
+in this package).  Every error exits through a single one-line,
+machine-parsable message on stderr: ``error: <ExceptionName>: <detail>``,
+or ``error: internal: InvariantBroken: <detail>`` for exit code 4.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .determined import check_determinacy, solve_determined
 from .errors import (
     GameSolverError,
     HypothesisViolated,
+    InvariantBroken,
     NotStopping,
     NotStoppingUnderPolicy,
     StepBoundExceeded,
@@ -56,6 +59,7 @@ OK = 0
 NEGATIVE = 1
 INPUT_ERROR = 2
 LIMIT = 3
+INTERNAL = 4
 
 _NEGATIVE_ERRORS = (NotStopping, NotStoppingUnderPolicy, HypothesisViolated)
 _LIMIT_ERRORS = (StepBoundExceeded,)
@@ -202,9 +206,9 @@ def _cmd_solve_vi(args) -> int:
 def _cmd_solve_determined(args) -> int:
     g = load_game(args.game)
     if args.check_determinacy:
-        determined, curves = check_determinacy(g, threads=args.threads)
+        determined, curves = check_determinacy(g)
     else:
-        determined, curves = True, solve_determined(g, threads=args.threads)
+        determined, curves = True, solve_determined(g)
     if args.out_dir:
         _write_curves(curves, Path(args.out_dir), args.svg)
     else:
@@ -319,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--out-dir")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument(
         "--check-determinacy",
         action="store_true",
@@ -364,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except _NEGATIVE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return NEGATIVE
+    except InvariantBroken as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
     except (GameSolverError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INPUT_ERROR

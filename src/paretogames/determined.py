@@ -10,16 +10,14 @@ the family of true Pareto curves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .bellman import CurveMap, check_fixpoint
 from .errors import NotStopping
-from .frontier import Frontier, intersect_min
+from .frontier import intersect_min
 from .games import Game, Kind, check_stopping, require_valid
-from .mdp import MDStrategy, induce_mdp, mdp_pareto_curve
+from .mdp import MDStrategy, induce_mdp, mdp_pareto_curves
 
 
 def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
@@ -32,15 +30,14 @@ def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
         yield dict(zip(ids, combo))
 
 
-def _strategy_curves(g: Game, sigma: MDStrategy) -> CurveMap:
-    mdp = induce_mdp(g, sigma)
-    return {sid: mdp_pareto_curve(mdp, sid) for sid in g.state_ids}
-
-
-def solve_determined(g: Game, threads: int | None = None) -> CurveMap:
+def solve_determined(g: Game) -> CurveMap:
     """V_s = pointwise minimum over all minimizer strategies of the exact
     per-strategy curve at s.  Exact; equals the true Pareto curves whenever
-    the game is determined."""
+    the game is determined.
+
+    Each strategy's induced process gets one weight sweep shared by all of
+    its states (``mdp_pareto_curves``), folded into the running minimum as
+    soon as it is computed."""
     require_valid(g)
     report = check_stopping(g)
     if not report.stopping:
@@ -48,27 +45,21 @@ def solve_determined(g: Game, threads: int | None = None) -> CurveMap:
             "strategy enumeration requires a stopping game",
             witness=tuple(sorted(report.witness_closed_set)),
         )
-    strategies = list(enumerate_md_strategies(g))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_strategy = list(
-                pool.map(lambda sig: _strategy_curves(g, sig), strategies)
-            )
-    else:
-        per_strategy = [_strategy_curves(g, sig) for sig in strategies]
-
-    def fold(acc: Mapping[str, Frontier], nxt: Mapping[str, Frontier]) -> CurveMap:
-        return {sid: intersect_min(acc[sid], nxt[sid]) for sid in acc}
-
-    return dict(reduce(fold, per_strategy))
+    curves: CurveMap = {}
+    for sigma in enumerate_md_strategies(g):
+        nxt = mdp_pareto_curves(induce_mdp(g, sigma))
+        curves = (
+            {sid: intersect_min(curves[sid], nxt[sid]) for sid in curves}
+            if curves
+            else nxt
+        )
+    return curves
 
 
-def check_determinacy(
-    g: Game, threads: int | None = None
-) -> tuple[bool, CurveMap]:
+def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     """Compute V by strategy enumeration and test it against the curve
     equations: in a stopping game their solution is unique, so a fixpoint
     certifies V as the Pareto-curve family and a failure certifies that the
     game is not determined.  Returns (verdict, V) either way."""
-    curves = solve_determined(g, threads=threads)
+    curves = solve_determined(g)
     return check_fixpoint(g, curves), curves

@@ -3,8 +3,8 @@
 Every error raised by this package derives from :class:`GameSolverError`,
 so callers can catch one type at the boundary.  The leaf classes mirror the
 distinct failure modes of the public operations: malformed geometry input,
-malformed game input, preconditions on solver calls, and protocol violations
-during betting-game simulation.
+malformed game input, preconditions on solver calls, protocol violations
+during betting-game simulation, and broken internal invariants.
 """
 
 from __future__ import annotations
@@ -116,3 +116,13 @@ class StepBoundExceeded(GameSolverError):
 
 class RelationMismatch(GameSolverError):
     """A parent curve is not the stated operation of its successor curves."""
+
+
+# ---------------------------------------------------------------------------
+# Internal faults
+
+
+class InvariantBroken(GameSolverError):
+    """A condition the code guarantees by construction did not hold: a bug
+    in this package, not bad input.  Raised instead of ``assert`` so the
+    check survives ``python -O``."""

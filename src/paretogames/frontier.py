@@ -22,7 +22,13 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence, Union
 
-from .errors import BadDirection, EmptyInput, OutOfDomain, WeightsInvalid
+from .errors import (
+    BadDirection,
+    EmptyInput,
+    InvariantBroken,
+    OutOfDomain,
+    WeightsInvalid,
+)
 
 Point = tuple[Fraction, Fraction]
 RationalLike = Union[int, str, Fraction, Rational]
@@ -243,7 +249,8 @@ def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
     for x in xs:
         y1 = evaluate(f1, x)
         y2 = evaluate(f2, x)
-        assert y1 is not None and y2 is not None
+        if y1 is None or y2 is None:
+            raise InvariantBroken(f"x={x} lies beyond x_hi={x_hi}")
         vals.append((y1, y2))
         pts.append((x, min(y1, y2)))
     # exact crossing points inside each cell where the difference changes sign

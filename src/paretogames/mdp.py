@@ -6,19 +6,22 @@ exact rational linear solves, finds scalarized-optimal policies by policy
 iteration, and enumerates the exact Pareto frontier at a state by dichotomic
 weight refinement: expose the two lexicographic extreme vertices, then
 recursively probe each candidate edge with its facet-normal direction until
-every edge is confirmed.  Every returned vertex is realized by a concrete
-policy, so the frontier is achievable by construction.
+every edge is confirmed.  One sweep serves every state of a process, since
+each direction's optimal policy is optimal from all states at once.  Every
+returned vertex is realized by a concrete policy, so the frontier is
+achievable by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BadDirection,
     InvalidGame,
     InvalidStrategy,
+    InvariantBroken,
     NotStopping,
     NotStoppingUnderPolicy,
 )
@@ -154,6 +157,25 @@ def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
 # Policy iteration
 
 
+_Evaluator = Callable[[MDPolicy], dict[str, Point]]
+
+
+def _memo_evaluate(mdp: Game) -> _Evaluator:
+    """policy_evaluate on one process, each distinct policy solved once.
+
+    The memo lives as long as the returned function, i.e. one public call."""
+    memo: dict[tuple[tuple[str, str], ...], dict[str, Point]] = {}
+
+    def evaluate(pol: MDPolicy) -> dict[str, Point]:
+        key = tuple(sorted(pol.items()))
+        values = memo.get(key)
+        if values is None:
+            values = memo[key] = policy_evaluate(mdp, pol)
+        return values
+
+    return evaluate
+
+
 def _initial_policy(mdp: Game) -> MDPolicy:
     return {
         s.id: s.successors[0] for s in mdp.states if s.kind is Kind.P1
@@ -165,7 +187,7 @@ def _dot(w: Point, v: Point) -> Fraction:
 
 
 def _policy_iterate(
-    mdp: Game,
+    evaluate: _Evaluator,
     direction: Point,
     actions: Mapping[str, tuple[str, ...]],
     pol: MDPolicy,
@@ -177,7 +199,7 @@ def _policy_iterate(
     while True:
         if history is not None:
             history.append(dict(pol))
-        values = policy_evaluate(mdp, pol)
+        values = evaluate(pol)
         improved = False
         for sid, choices in actions.items():
             current = _dot(direction, values[pol[sid]])
@@ -202,6 +224,7 @@ def _secondary_axis(w: Point) -> Point:
 
 def _optimal_vertex(
     mdp: Game,
+    evaluate: _Evaluator,
     w: Point,
     history: list[MDPolicy] | None = None,
 ) -> tuple[MDPolicy, dict[str, Point]]:
@@ -211,7 +234,7 @@ def _optimal_vertex(
         s.id: s.successors for s in mdp.states if s.kind is Kind.P1
     }
     pol, values = _policy_iterate(
-        mdp, w, full_actions, _initial_policy(mdp), history
+        evaluate, w, full_actions, _initial_policy(mdp), history
     )
     # restrict every state to its primary-optimal actions; any policy inside
     # this restriction attains the same primary value (the restricted
@@ -225,7 +248,7 @@ def _optimal_vertex(
         for sid, choices in full_actions.items()
     }
     pol2, values2 = _policy_iterate(
-        mdp, _secondary_axis(w), tight_actions, pol, history
+        evaluate, _secondary_axis(w), tight_actions, pol, history
     )
     return pol2, values2
 
@@ -253,22 +276,97 @@ def optimal_policy(
             "optimal_policy requires a stopping process",
             witness=tuple(sorted(report.witness_closed_set)),
         )
+    evaluate = _memo_evaluate(mdp)
     if not lexicographic:
         full_actions = {
             s.id: s.successors for s in mdp.states if s.kind is Kind.P1
         }
         return _policy_iterate(
-            mdp, w, full_actions, _initial_policy(mdp), history
+            evaluate, w, full_actions, _initial_policy(mdp), history
         )
     if w[0] != 0 and w[1] != 0:
         raise BadDirection(
             "lexicographic tie-breaking is defined for axis-aligned directions"
         )
-    return _optimal_vertex(mdp, w, history)
+    return _optimal_vertex(mdp, evaluate, w, history)
 
 
 # ---------------------------------------------------------------------------
-# Pareto curve by dichotomic refinement
+# Pareto curves by dichotomic refinement
+
+
+def _require_stopping_process(mdp: Game) -> None:
+    require_valid(mdp)
+    _require_no_p2_choice(mdp)
+    report = check_stopping(mdp)
+    if not report.stopping:
+        raise NotStopping(
+            "pareto curve requires a stopping process",
+            witness=tuple(sorted(report.witness_closed_set)),
+        )
+
+
+def _pareto_witnesses(
+    mdp: Game, states: Iterable[str]
+) -> dict[str, dict[Point, MDPolicy]]:
+    """Frontier vertex -> realizing policy, at each of the states.
+
+    Finds the two lexicographic extreme vertices, then refines each edge
+    (A, B) with the facet normal (A_y - B_y, B_x - A_x): when the optimum in
+    that direction strictly beats the edge, a new vertex lies between and
+    both halves are probed again.  Terminates because each insertion is a
+    distinct frontier vertex and each vertex is realized by one of finitely
+    many policies.  One optimal policy per direction serves every state
+    (Forejt, Kwiatkowska & Parker, ATVA 2012), so each direction's policy
+    iteration runs once for all states, and each distinct policy is
+    evaluated once; the optimum is a deterministic function of the
+    direction, so sharing changes no result."""
+    evaluate = _memo_evaluate(mdp)
+    optima: dict[Point, tuple[MDPolicy, dict[str, Point]]] = {}
+
+    def optimum(w: Point) -> tuple[MDPolicy, dict[str, Point]]:
+        if w not in optima:
+            optima[w] = _optimal_vertex(mdp, evaluate, w)
+        return optima[w]
+
+    one = Fraction(1)
+    zero = Fraction(0)
+    out: dict[str, dict[Point, MDPolicy]] = {}
+    for s in states:
+        pol_a, vals_a = optimum((zero, one))  # top-left extreme
+        pol_b, vals_b = optimum((one, zero))  # bottom-right extreme
+        a, b = vals_a[s], vals_b[s]
+        witnesses: dict[Point, MDPolicy] = {a: pol_a, b: pol_b}
+        stack = [(a, b)] if a != b else []
+        while stack:
+            left, right = stack.pop()
+            w = (left[1] - right[1], right[0] - left[0])
+            if not (w[0] > 0 and w[1] > 0):
+                raise InvariantBroken(
+                    f"{s}: edge {left}-{right} has no strictly positive normal"
+                )
+            pol, vals = optimum(w)
+            z = vals[s]
+            if _dot(w, z) > _dot(w, left):
+                witnesses[z] = pol
+                stack.append((left, z))
+                stack.append((z, right))
+        out[s] = witnesses
+    return out
+
+
+def mdp_pareto_curves(mdp: Game) -> dict[str, Frontier]:
+    """Exact Pareto frontier of the achievable set at every state.
+
+    One dichotomic weight sweep serves all states: the process is
+    validated and checked for stopping once, each probed direction's
+    optimal policy is computed once, and each distinct policy is evaluated
+    once.  Each curve equals ``mdp_pareto_curve(mdp, s)``."""
+    _require_stopping_process(mdp)
+    return {
+        s: canonicalize(list(witnesses))
+        for s, witnesses in _pareto_witnesses(mdp, mdp.state_ids).items()
+    }
 
 
 def mdp_pareto_curve(
@@ -279,38 +377,14 @@ def mdp_pareto_curve(
 ) -> Frontier | tuple[Frontier, dict[Point, MDPolicy]]:
     """Exact Pareto frontier of the achievable set at state s.
 
-    Finds the two lexicographic extreme vertices, then refines each edge
-    (A, B) with the facet normal (A_y - B_y, B_x - A_x): when the optimum in
-    that direction strictly beats the edge, a new vertex lies between and
-    both halves are probed again.  Terminates because each insertion is a
-    distinct frontier vertex and each vertex is realized by one of finitely
-    many policies."""
-    require_valid(mdp)
-    _require_no_p2_choice(mdp)
-    report = check_stopping(mdp)
-    if not report.stopping:
-        raise NotStopping(
-            "pareto curve requires a stopping process",
-            witness=tuple(sorted(report.witness_closed_set)),
-        )
+    The same weight sweep as ``mdp_pareto_curves``, restricted to s: the
+    two lexicographic extreme vertices, then facet-normal probes of every
+    edge until each is confirmed, every direction's policy iteration run
+    once.  With ``with_witnesses`` set, also returns one realizing policy
+    per frontier vertex."""
+    _require_stopping_process(mdp)
     mdp.state(s)
-    one = Fraction(1)
-    zero = Fraction(0)
-    pol_a, vals_a = _optimal_vertex(mdp, (zero, one))  # top-left extreme
-    pol_b, vals_b = _optimal_vertex(mdp, (one, zero))  # bottom-right extreme
-    a, b = vals_a[s], vals_b[s]
-    witnesses: dict[Point, MDPolicy] = {a: pol_a, b: pol_b}
-    stack = [(a, b)] if a != b else []
-    while stack:
-        left, right = stack.pop()
-        w = (left[1] - right[1], right[0] - left[0])
-        assert w[0] > 0 and w[1] > 0
-        pol, vals = _optimal_vertex(mdp, w)
-        z = vals[s]
-        if _dot(w, z) > _dot(w, left):
-            witnesses[z] = pol
-            stack.append((left, z))
-            stack.append((z, right))
+    witnesses = _pareto_witnesses(mdp, (s,))[s]
     frontier = canonicalize(list(witnesses))
     if not with_witnesses:
         return frontier

@@ -9,7 +9,10 @@ the bound — kept as an error-path regression.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -333,8 +336,9 @@ def test_positive_threshold_starve_escapes_through_bound():
 
 def test_step_bound_escape_regression():
     # With a positive threshold the potential argument does not apply to
-    # sub-threshold target visits, and this frozen arena drives the walk
-    # past the derived bound; the simulator reports it instead of looping.
+    # sub-threshold target visits: this frozen arena drains the credit to 0
+    # on the target, after which no target configuration is reachable; the
+    # simulator reports the bound instead of looping.
     bg = BettingGame(
         (
             bv("v0", "eve", "v1", F(3, 5), "v0", F(2, 5)),
@@ -344,3 +348,60 @@ def test_step_bound_escape_regression():
     )
     with pytest.raises(StepBoundExceeded, match="2135"):
         simulate(bg, {"v0"}, 100, RandomAdam(71333))
+
+
+def test_exhausted_credit_on_target_ends_the_play_at_once():
+    # Starving the guided successor leaves credit 0 on the target; a zero
+    # credit never grows, so the play stops there instead of walking the
+    # whole step bound.
+    bg, targets = random_betting_game(random.Random(7), F(1, 2))
+    bound = step_bound(bg, 100)
+    with pytest.raises(StepBoundExceeded, match="credit exhausted"):
+        simulate(bg, targets, 100, StarveAdam())
+    tr = simulate(bg, targets, 100, StarveAdam(), max_steps=bound - 1)
+    assert not tr.reached_target and tr.end == "max-steps"
+    assert tr.steps[-1].vertex in targets and tr.steps[-1].credit == 0
+    assert len(tr.steps) - 1 < 10 < bound
+
+
+# ---------------------------------------------------------------------------
+# internal invariants
+
+
+def _worse_pick(bg, attr, v, d):
+    """Eve's pick inverted: the successor of smallest potential."""
+    w = bg.min_weight
+    options = [
+        BettingConfig(t, di) for (t, _), di in zip(v.edges, d) if t in attr.a
+    ]
+    return min(options, key=lambda c: c.credit + w ** attr.a[c.vertex])
+
+
+def test_potential_check_survives_optimized_mode():
+    tests_dir = Path(__file__).resolve().parent
+    script = f"""
+import sys
+sys.path.insert(0, {str(tests_dir.parent / "src")!r})
+from fractions import Fraction as F
+import paretogames.betting as betting
+from paretogames import InvariantBroken, ScriptedAdam, simulate
+from test_betting import _worse_pick, tiny_arena
+
+print("optimize", sys.flags.optimize)
+betting._eve_pick = _worse_pick
+try:
+    simulate(tiny_arena(), {{"t2"}}, 100, ScriptedAdam(valuations=[(F(2), F(0))]))
+except InvariantBroken as exc:
+    print("InvariantBroken:", exc)
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tests_dir,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("InvariantBroken: potential increment")

@@ -377,3 +377,41 @@ def test_betting_sim_reports_bound_escape(tmp_path, capsys):
         "71333",
     )
     assert code == 3 and err.startswith("error: StepBoundExceeded")
+
+
+def test_betting_sim_reports_exhausted_credit(tmp_path, capsys):
+    bg, targets = random_betting_game(random.Random(7), F(1, 2))
+    p = tmp_path / "drained.json"
+    save_betting(bg, p)
+    code, _, err = run(
+        capsys, "betting-sim", str(p), "--target", ",".join(sorted(targets)),
+        "--adam", "starve", "--bound", "100",
+    )
+    assert code == 3
+    assert err.startswith("error: StepBoundExceeded") and "credit exhausted" in err
+
+
+def test_broken_invariant_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    import paretogames.betting as betting
+    from paretogames import BettingConfig, BettingGame, BetVertex, InvariantBroken
+
+    def broken(*args):
+        raise InvariantBroken("deliberately broken")
+
+    monkeypatch.setattr(betting, "_eve_pick", broken)
+    half = F(1, 2)
+    bg = BettingGame(
+        (
+            BetVertex("v", "eve", (("t", half), ("u", half))),
+            BetVertex("u", "eve", (("t", half), ("v", half))),
+            BetVertex("t", "adam", (("v", half), ("u", half))),
+        ),
+        BettingConfig("v", F(1)),
+    )
+    p = tmp_path / "arena.json"
+    save_betting(bg, p)
+    code, _, err = run(
+        capsys, "betting-sim", str(p), "--target", "t", "--adam", "equal"
+    )
+    assert code == 4
+    assert err == "error: internal: InvariantBroken: deliberately broken\n"

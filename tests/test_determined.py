@@ -88,8 +88,22 @@ def test_no_p2_game_reduces_to_mdp_curves():
             assert v[sid] == mdp_pareto_curve(g, sid)
 
 
-def test_threads_give_same_answer(fig3):
-    assert solve_determined(fig3, threads=2) == solve_determined(fig3)
+def test_each_process_policy_pair_evaluated_once(heating, monkeypatch):
+    import paretogames.mdp as mdp_module
+
+    seen: list[tuple[Game, frozenset]] = []
+    original = mdp_module.policy_evaluate
+
+    def counting(mdp, pol):
+        seen.append((mdp, frozenset(pol.items())))
+        return original(mdp, pol)
+
+    monkeypatch.setattr(mdp_module, "policy_evaluate", counting)
+    v = solve_determined(heating)
+    for sid, pts in HEATING_EXACT.items():
+        assert v[sid] == frontier_of(pts)
+    assert seen
+    assert len(seen) == len(set(seen))
 
 
 def test_solve_requires_stopping():

@@ -19,11 +19,16 @@ from paretogames import (
     enumerate_md_strategies,
     induce_mdp,
     mdp_pareto_curve,
+    mdp_pareto_curves,
     optimal_policy,
     policy_evaluate,
     support,
 )
-from randgen import random_positive_direction, random_stopping_mdp
+from randgen import (
+    random_positive_direction,
+    random_stopping_game,
+    random_stopping_mdp,
+)
 
 
 def term(sid: str) -> StateRecord:
@@ -260,15 +265,30 @@ def test_heating_door_closed_curve_matches_scalarization(heating):
         assert support(f, w) == w[0] * v[0] + w[1] * v[1]
 
 
-def test_pareto_witnesses_evaluate_to_their_vertices():
+def _sample_processes():
     for seed in range(20):
-        mdp = random_stopping_mdp(seed)
-        f, witnesses = mdp_pareto_curve(
-            mdp, mdp.initial, with_witnesses=True
-        )
-        assert set(witnesses) == set(f.vertices)
-        for vertex, pol in witnesses.items():
-            assert policy_evaluate(mdp, pol)[mdp.initial] == vertex
+        yield random_stopping_mdp(seed)
+    for seed in range(8):
+        g = random_stopping_game(seed, max_states=5)
+        for sigma in enumerate_md_strategies(g):
+            yield induce_mdp(g, sigma)
+
+
+def test_all_state_curves_match_single_state_curves():
+    for mdp in _sample_processes():
+        curves = mdp_pareto_curves(mdp)
+        assert list(curves) == list(mdp.state_ids)
+        for sid in mdp.state_ids:
+            assert curves[sid] == mdp_pareto_curve(mdp, sid)
+
+
+def test_pareto_witnesses_evaluate_to_their_vertices():
+    for mdp in _sample_processes():
+        for sid in mdp.state_ids:
+            f, witnesses = mdp_pareto_curve(mdp, sid, with_witnesses=True)
+            assert set(witnesses) == set(f.vertices)
+            for vertex, pol in witnesses.items():
+                assert policy_evaluate(mdp, pol)[sid] == vertex
 
 
 def test_pareto_support_consistency_on_random_mdps():
@@ -290,3 +310,5 @@ def test_pareto_requires_stopping():
     )
     with pytest.raises(NotStopping):
         mdp_pareto_curve(g, "a")
+    with pytest.raises(NotStopping):
+        mdp_pareto_curves(g)
