@@ -43,7 +43,6 @@ from .frontier import (
     as_point,
     canonicalize,
     contains,
-    distance,
     dwc_conv_union,
     evaluate,
     extremal_points,
@@ -70,6 +69,7 @@ from .games import (
     load_game,
     make_game,
     normalize,
+    require_stopping,
     require_valid,
     save_game,
     validate_game,
@@ -82,6 +82,7 @@ from .bellman import (
     bellman_step,
     check_fixpoint,
     initial_curves,
+    iterates,
     tail_bound,
     value_iterate,
 )

@@ -10,25 +10,30 @@ state kind; games whose rewards all sit on Player-2 states are the special
 case.
 
 ``bellman_step`` applies the operator simultaneously (reads only the given
-map).  ``value_iterate`` performs in-place sweeps in listed state order —
-later states see the already-updated curves of earlier ones — which reaches
-tight iterates faster and is what the iterate-shape guarantees below are
-stated for.  A sweep that changes nothing certifies a fixpoint of the
-simultaneous operator as well, since the first unchanged state leaves every
-input unchanged in turn.
+map).  ``iterates`` yields X0 and then the result of each in-place sweep in
+listed state order — later states see the already-updated curves of earlier
+ones — which reaches tight iterates faster and is what the iterate-shape
+guarantees below are stated for.  A sweep that changes nothing certifies a
+fixpoint of the simultaneous operator as well, since the first unchanged
+state leaves every input unchanged in turn.
+
+``value_iterate`` consumes ``iterates`` and is the one place that applies
+the stopping rule; its result carries the certified residual of every sweep
+(``IterationResult.residuals``), so callers report a run without replaying
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 from .errors import (
     IncompleteCurveMap,
     InvariantBroken,
     NonPositiveEpsilon,
-    NotStopping,
 )
 from .frontier import (
     Frontier,
@@ -42,7 +47,14 @@ from .frontier import (
     translate,
     weighted_sum,
 )
-from .games import Game, Kind, StateRecord, check_stopping, require_valid
+from .games import (
+    Game,
+    Kind,
+    StateRecord,
+    check_stopping,
+    require_stopping,
+    require_valid,
+)
 
 CurveMap = dict[str, Frontier]
 
@@ -57,7 +69,7 @@ class IterationResult:
     converged: bool
     fixpoint_reached: bool
     note: str = ""
-    history: tuple[CurveMap, ...] = field(default=(), repr=False)
+    residuals: tuple[Fraction, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         if self.fixpoint_reached and not self.converged:
@@ -123,6 +135,12 @@ def _min_probability(g: Game) -> Fraction:
     return min(probs, default=Fraction(1))
 
 
+def _window_escape(g: Game) -> Fraction:
+    """q: a lower bound, in a stopping game, on the probability that any
+    window of |S| steps ends in a terminal, whatever both players do."""
+    return _min_probability(g) ** len(g.states)
+
+
 def tail_bound(g: Game, n: int) -> Fraction:
     """Sound bound on the total |reward| accumulated after step n.
 
@@ -133,17 +151,12 @@ def tail_bound(g: Game, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    report = check_stopping(g)
-    if not report.stopping:
-        raise NotStopping(
-            "tail bound requires a stopping game",
-            witness=tuple(sorted(report.witness_closed_set)),
-        )
+    require_stopping(g, "tail bound requires a stopping game")
     size = len(g.states)
     big_r = _reward_magnitude(g)
     if big_r == 0:
         return Fraction(0)
-    q = _min_probability(g) ** size
+    q = _window_escape(g)
     k0 = n // size
     if q == 1:
         return size * big_r if k0 == 0 else Fraction(0)
@@ -172,86 +185,86 @@ def _alive_step(g: Game, alive: dict[str, Fraction]) -> dict[str, Fraction]:
 # Value iteration
 
 
-def value_iterate(
-    g: Game,
-    epsilon: RationalLike,
-    max_iters: int,
-    *,
-    keep_history: bool = True,
-) -> IterationResult:
-    """Iterate the operator from X0 with in-place sweeps in listed order.
+def iterates(g: Game) -> Iterator[CurveMap]:
+    """X0, then the curve map after each in-place sweep in listed order.
 
-    Stops when (a) a sweep changes nothing — an exact fixpoint, also of the
-    simultaneous operator; or, for stopping games, (b) the truncation
-    residual drops to ``epsilon`` or below, where the residual after sweep n
-    is min(tail_bound(g, n), tail_bound(g, 0) * max survival probability at
-    depth n) — sound because n sweeps propagate information at least n steps
-    deep, so the returned curves differ from the true ones by at most the
-    expected reward collected after depth n; or (c) ``max_iters`` sweeps ran
-    (converged = False; for non-stopping games the result is then only an
-    iterate, not the least fixpoint).
+    ``g`` is validated once, before X0.  Each yielded map is a fresh dict,
+    so holding on to one is safe; the generator never ends on its own.
+    """
+    require_valid(g)
+    curves = initial_curves(g)
+    while True:
+        yield dict(curves)
+        for s in g.states:  # in-place: later states see updated earlier ones
+            curves[s.id] = _state_update(s, curves)
+
+
+def value_iterate(
+    g: Game, epsilon: RationalLike, max_iters: int
+) -> IterationResult:
+    """Consume ``iterates(g)`` until one of three rules fires.
+
+    (a) A sweep changes nothing: an exact fixpoint, also of the simultaneous
+    operator, reported with ``residual_bound`` 0.  (b) For stopping games,
+    the certified residual drops to ``epsilon`` or below.  The residual
+    after sweep n is min(tail_bound(g, n), tail_bound(g, 0) * max survival
+    probability at depth n), sound because n sweeps propagate information
+    at least n steps deep, so the returned curves differ from the true ones
+    by at most the expected reward collected after depth n.  (c)
+    ``max_iters`` sweeps ran (converged = False; for non-stopping games the
+    result is then only an iterate, not the least fixpoint).
+
+    ``residuals`` holds that residual for every sweep that ran, the
+    fixpoint sweep included (it is empty for non-stopping games).  The
+    game constants of the rule are computed once: with ceiling =
+    tail_bound(g, 0) and q its window escape probability, tail_bound(g, n)
+    = ceiling * (1-q)^floor(n/|S|) exactly.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    require_valid(g)
     stopping = check_stopping(g).stopping
-    ceiling = tail_bound(g, 0) if stopping else None
-
-    curves = initial_curves(g)
-    history: list[CurveMap] = [dict(curves)] if keep_history else []
+    if stopping:
+        ceiling = tail_bound(g, 0)
+        decay = 1 - _window_escape(g)
+    size = len(g.states)
     alive: dict[str, Fraction] = {
         s.id: Fraction(0 if s.kind is Kind.TERMINAL else 1) for s in g.states
     }
-    iterations = 0
-    residual: Fraction | None = None
+    residuals: list[Fraction] = []
 
-    while iterations < max_iters:
-        changed = False
-        for s in g.states:  # in-place: later states see updated earlier ones
-            new = _state_update(s, curves)
-            if new != curves[s.id]:
-                curves[s.id] = new
-                changed = True
-        iterations += 1
-        if keep_history:
-            history.append(dict(curves))
-        if not changed:
+    sweeps = iterates(g)
+    curves = next(sweeps)
+    for n, nxt in enumerate(islice(sweeps, max_iters), start=1):
+        fixpoint = nxt == curves
+        curves = nxt
+        if stopping:
+            alive = _alive_step(g, alive)
+            residuals.append(
+                min(
+                    ceiling * decay ** (n // size),
+                    ceiling * max(alive.values(), default=Fraction(0)),
+                )
+            )
+        if fixpoint or (stopping and residuals[-1] <= epsilon):
             return IterationResult(
                 curves=curves,
-                iterations=iterations,
-                residual_bound=Fraction(0),
+                iterations=n,
+                residual_bound=Fraction(0) if fixpoint else residuals[-1],
                 converged=True,
-                fixpoint_reached=True,
-                history=tuple(history),
+                fixpoint_reached=fixpoint,
+                residuals=tuple(residuals),
             )
-        if stopping:
-            if ceiling is None:
-                raise InvariantBroken("stopping game without a tail ceiling")
-            alive = _alive_step(g, alive)
-            residual = min(
-                tail_bound(g, iterations),
-                ceiling * max(alive.values(), default=Fraction(0)),
-            )
-            if residual <= epsilon:
-                return IterationResult(
-                    curves=curves,
-                    iterations=iterations,
-                    residual_bound=residual,
-                    converged=True,
-                    fixpoint_reached=False,
-                    history=tuple(history),
-                )
     return IterationResult(
         curves=curves,
-        iterations=iterations,
-        residual_bound=residual,
+        iterations=max_iters,
+        residual_bound=residuals[-1] if residuals else None,
         converged=False,
         fixpoint_reached=False,
         note="" if stopping else "iterate, not least fixpoint",
-        history=tuple(history),
+        residuals=tuple(residuals),
     )
 
 

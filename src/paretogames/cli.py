@@ -20,13 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .audit import audit_game
-from .bellman import (
-    CurveMap,
-    _alive_step,
-    achievable_within,
-    tail_bound,
-    value_iterate,
-)
+from .bellman import CurveMap, achievable_within, value_iterate
 from .betting import ADAM_FACTORIES, load_betting, simulate, trace_to_csv
 from .determined import check_determinacy, solve_determined
 from .errors import (
@@ -45,12 +39,10 @@ from .frontier import (
     frontier_to_svg,
 )
 from .games import (
-    Game,
     check_stopping,
     discount_transform,
     load_game,
     normalize,
-    require_valid,
     save_game,
     validate_game,
 )
@@ -127,7 +119,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stopping(args) -> int:
     g = load_game(args.game)
-    require_valid(g)
     report = check_stopping(g)
     if report.stopping:
         print("stopping: true")
@@ -152,35 +143,15 @@ def _cmd_discount(args) -> int:
     return OK
 
 
-def _residual_log(g: Game, iterations: int) -> list[str]:
-    """Per-sweep residual bounds, replaying the survival recursion."""
-    if not check_stopping(g).stopping:
-        return [f"{n} residual_bound=n/a" for n in range(1, iterations + 1)]
-    from .games import Kind
-
-    ceiling = tail_bound(g, 0)
-    alive = {
-        s.id: Fraction(0 if s.kind is Kind.TERMINAL else 1) for s in g.states
-    }
-    lines = []
-    for n in range(1, iterations + 1):
-        alive = _alive_step(g, alive)
-        residual = min(
-            tail_bound(g, n), ceiling * max(alive.values(), default=Fraction(0))
-        )
-        lines.append(f"{n} residual_bound={_pq(residual)}")
-    return lines
-
-
 def _cmd_solve_vi(args) -> int:
     g = load_game(args.game)
-    result = value_iterate(
-        g, as_fraction(args.epsilon), args.max_iters, keep_history=False
-    )
+    result = value_iterate(g, as_fraction(args.epsilon), args.max_iters)
     out_dir = Path(args.out_dir)
     manifest = _write_curves(result.curves, out_dir, args.svg)
+    bounds = [_pq(r) for r in result.residuals] or ["n/a"] * result.iterations
     (out_dir / "iterations.log").write_text(
-        "\n".join(_residual_log(g, result.iterations)) + "\n"
+        "\n".join(f"{n} residual_bound={b}" for n, b in enumerate(bounds, 1))
+        + "\n"
     )
     run = {
         "epsilon": args.epsilon,
@@ -226,9 +197,7 @@ def _cmd_query(args) -> int:
         curves = solve_determined(g)
         residual = Fraction(0)
     else:
-        result = value_iterate(
-            g, as_fraction(args.epsilon), args.max_iters, keep_history=False
-        )
+        result = value_iterate(g, as_fraction(args.epsilon), args.max_iters)
         if result.residual_bound is None:
             print("unknown")
             return OK

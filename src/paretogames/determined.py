@@ -14,9 +14,8 @@ from itertools import product
 from typing import Iterator
 
 from .bellman import CurveMap, check_fixpoint
-from .errors import NotStopping
 from .frontier import intersect_min
-from .games import Game, Kind, check_stopping, require_valid
+from .games import Game, Kind, require_stopping, require_valid
 from .mdp import MDStrategy, induce_mdp, mdp_pareto_curves
 
 
@@ -38,13 +37,7 @@ def solve_determined(g: Game) -> CurveMap:
     Each strategy's induced process gets one weight sweep shared by all of
     its states (``mdp_pareto_curves``), folded into the running minimum as
     soon as it is computed."""
-    require_valid(g)
-    report = check_stopping(g)
-    if not report.stopping:
-        raise NotStopping(
-            "strategy enumeration requires a stopping game",
-            witness=tuple(sorted(report.witness_closed_set)),
-        )
+    require_stopping(g, "strategy enumeration requires a stopping game")
     curves: CurveMap = {}
     for sigma in enumerate_md_strategies(g):
         nxt = mdp_pareto_curves(induce_mdp(g, sigma))

@@ -45,7 +45,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, bool):  # bool is an int; reject it as a coordinate
         raise TypeError("boolean is not a coordinate")
     if isinstance(value, (int, str, Rational)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             "float coordinates are not accepted; pass Fraction, int, or 'p/q' string"
@@ -331,38 +334,6 @@ def extremal_points(f: Frontier) -> tuple[Point, ...]:
     return f.vertices
 
 
-_SLOPE_CAP = Fraction(1000)
-
-
-def distance(f1: Frontier, f2: Frontier) -> Fraction:
-    """Heuristic convergence gauge between two frontiers (not a metric).
-
-    Max vertical gap |F1(x) - F2(x)| over the union of vertex x's and both
-    x_last; where exactly one side is undefined, the horizontal overhang
-    |x_last difference| is charged at the adjacent slope magnitude, clamped
-    to [1, 1000].  Exact results never depend on this gauge.
-    """
-    xs = sorted(
-        {v[0] for v in f1.vertices}
-        | {v[0] for v in f2.vertices}
-        | {f1.x_last, f2.x_last}
-    )
-    gap = Fraction(0)
-    for x in xs:
-        y1 = evaluate(f1, x)
-        y2 = evaluate(f2, x)
-        if y1 is not None and y2 is not None:
-            gap = max(gap, abs(y1 - y2))
-        else:
-            # exactly one undefined: charge the x_last overhang once
-            inner = f1 if y2 is None else f2
-            overhang = abs(f1.x_last - f2.x_last)
-            lslope, _ = slope_at(inner, inner.x_last)
-            mag = min(max(abs(lslope), Fraction(1)), _SLOPE_CAP)
-            gap = max(gap, overhang * mag)
-    return gap
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -383,7 +354,7 @@ def frontier_from_csv(text: str) -> Frontier:
         if not line:
             continue
         a, b = line.split(",")
-        pts.append((Fraction(a.strip()), Fraction(b.strip())))
+        pts.append((as_fraction(a.strip()), as_fraction(b.strip())))
     return canonicalize(pts)
 
 

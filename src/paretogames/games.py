@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DeltaOutOfRange, InvalidGame, UnknownState
+from .errors import DeltaOutOfRange, InvalidGame, NotStopping, UnknownState
 from .frontier import Point, RationalLike, as_fraction, as_point
 
 
@@ -191,6 +191,16 @@ def check_stopping(g: Game) -> StoppingReport:
                 alive.discard(sid)
                 changed = True
     return StoppingReport(stopping=not alive, witness_closed_set=frozenset(alive))
+
+
+def require_stopping(g: Game, message: str) -> None:
+    """Raise NotStopping with ``message`` and the sorted witness closed set
+    when g is not stopping (InvalidGame when it is not valid)."""
+    report = check_stopping(g)
+    if not report.stopping:
+        raise NotStopping(
+            message, witness=tuple(sorted(report.witness_closed_set))
+        )
 
 
 # ---------------------------------------------------------------------------

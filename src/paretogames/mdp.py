@@ -22,11 +22,10 @@ from .errors import (
     InvalidGame,
     InvalidStrategy,
     InvariantBroken,
-    NotStopping,
     NotStoppingUnderPolicy,
 )
 from .frontier import Frontier, Point, RationalLike, as_point, canonicalize
-from .games import Game, Kind, StateRecord, check_stopping, require_valid
+from .games import Game, Kind, StateRecord, require_stopping, require_valid
 
 MDStrategy = dict[str, str]  # Player-2 state id -> chosen successor id
 MDPolicy = dict[str, str]  # Player-1 state id -> chosen successor id
@@ -265,17 +264,12 @@ def optimal_policy(
     With ``lexicographic`` set (axis-aligned w only), ties in the primary
     objective are broken by maximizing the other reward component among
     primary-optimal actions."""
-    require_valid(mdp)
-    _require_no_p2_choice(mdp)
+    _require_stopping_process(
+        mdp, "optimal_policy requires a stopping process"
+    )
     w = as_point(w)
     if w[0] < 0 or w[1] < 0 or w == (0, 0):
         raise BadDirection(f"direction must be >= 0 and nonzero, got {w}")
-    report = check_stopping(mdp)
-    if not report.stopping:
-        raise NotStopping(
-            "optimal_policy requires a stopping process",
-            witness=tuple(sorted(report.witness_closed_set)),
-        )
     evaluate = _memo_evaluate(mdp)
     if not lexicographic:
         full_actions = {
@@ -295,15 +289,12 @@ def optimal_policy(
 # Pareto curves by dichotomic refinement
 
 
-def _require_stopping_process(mdp: Game) -> None:
+def _require_stopping_process(
+    mdp: Game, message: str = "pareto curve requires a stopping process"
+) -> None:
     require_valid(mdp)
     _require_no_p2_choice(mdp)
-    report = check_stopping(mdp)
-    if not report.stopping:
-        raise NotStopping(
-            "pareto curve requires a stopping process",
-            witness=tuple(sorted(report.witness_closed_set)),
-        )
+    require_stopping(mdp, message)
 
 
 def _pareto_witnesses(

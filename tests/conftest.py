@@ -53,4 +53,4 @@ def fig3():
 def fig3_vi(fig3):
     """The long tail-bound-terminated run at epsilon 1/1000 (429 sweeps,
     ~45 s); computed once and shared."""
-    return value_iterate(fig3, F(1, 1000), 10000, keep_history=False)
+    return value_iterate(fig3, F(1, 1000), 10000)

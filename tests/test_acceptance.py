@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 import floatoracle as fo
 from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of
@@ -21,6 +22,7 @@ from paretogames import (
     evaluate,
     extremal_points,
     initial_curves,
+    iterates,
     mdp_pareto_curve,
     optimal_policy,
     simulate,
@@ -60,9 +62,9 @@ def test_criterion_1_heating_exact_solve_and_fixpoint(heating):
 
 def test_criterion_2_six_state_iterates_extremal_counts(fig3):
     t0 = time.perf_counter()
-    res = value_iterate(fig3, TINY, 12)
+    hist = list(islice(iterates(fig3), 13))
     for n in range(3, 13):
-        count = len(extremal_points(res.history[n]["s0"]))
+        count = len(extremal_points(hist[n]["s0"]))
         assert count == n - 1, (n, count)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -162,16 +164,16 @@ def test_criterion_7_slope_audits_zero_failures(heating, fig3):
     failures += len(rep.findings)
     checks += rep.checks_run
 
-    res = value_iterate(fig3, TINY, 21)
+    hist = list(islice(iterates(fig3), 22))
     for n in range(1, 21):
-        rep = audit_game(fig3, res.history[n + 1], prev=res.history[n])
+        rep = audit_game(fig3, hist[n + 1], prev=hist[n])
         failures += len(rep.findings)
         checks += rep.checks_run
 
     for seed in range(200, 250):
         g = random_stopping_game(seed)
         res = value_iterate(g, TINY, 21)
-        hist = res.history
+        hist = list(islice(iterates(g), res.iterations + 1))
         for n in range(1, len(hist)):
             rep = audit_game(g, hist[n], prev=hist[n - 1])
             failures += len(rep.findings)
@@ -192,7 +194,7 @@ def test_criterion_8_determinacy_cross_check(heating, fig3):
         ok, v = check_determinacy(g)
         if not ok:
             continue
-        res = value_iterate(g, EPS, 10000, keep_history=False)
+        res = value_iterate(g, EPS, 10000)
         assert res.converged
         r = res.residual_bound
         assert r is not None

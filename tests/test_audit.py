@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from paretogames import (
     audit_p1,
     audit_p2,
     canonicalize,
+    iterates,
     translate,
     value_iterate,
     weighted_sum,
@@ -210,8 +212,8 @@ def test_fig3_family_audits_clean(fig3):
 
 
 def test_fig3_iterate_pair_audits_clean(fig3):
-    res = value_iterate(fig3, TINY, 10)
-    rep = audit_game(fig3, res.history[10], prev=res.history[9])
+    hist = list(islice(iterates(fig3), 11))
+    rep = audit_game(fig3, hist[10], prev=hist[9])
     assert rep.ok
 
 
@@ -235,7 +237,7 @@ def test_random_iterate_pairs_audit_clean_smoke():
     for seed in range(8):
         g = random_stopping_game(seed)
         res = value_iterate(g, TINY, 8)
-        hist = res.history
+        hist = list(islice(iterates(g), res.iterations + 1))
         for n in range(1, len(hist)):
             rep = audit_game(g, hist[n], prev=hist[n - 1])
             assert rep.ok, rep.to_text()

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
 import floatoracle as fo
 from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of
+import paretogames.bellman
+import paretogames.games
 from paretogames import (
     Frontier,
     Game,
@@ -25,6 +28,7 @@ from paretogames import (
     evaluate,
     extremal_points,
     initial_curves,
+    iterates,
     support,
     tail_bound,
     translate,
@@ -92,16 +96,16 @@ def test_step_monotone_on_random_games():
 
 
 def test_fig3_iterates_have_n_minus_1_extremal_points(fig3):
-    res = value_iterate(fig3, TINY, 12)
+    hist = list(islice(iterates(fig3), 13))
     for n in range(3, 13):
-        assert len(extremal_points(res.history[n]["s0"])) == n - 1
+        assert len(extremal_points(hist[n]["s0"])) == n - 1
 
 
 def test_heating_converges_to_family_within_residual(heating):
     # The iterates stay dyadic while the fixpoint has thirds, so an exact
     # fixpoint is unreachable in finitely many sweeps; the engine instead
     # stops via the tail bound and lands within the residual of the family.
-    res = value_iterate(heating, EPS, 10000, keep_history=False)
+    res = value_iterate(heating, EPS, 10000)
     assert res.converged and not res.fixpoint_reached
     assert res.iterations == 200
     assert res.residual_bound is not None and res.residual_bound <= EPS
@@ -151,7 +155,7 @@ def test_iterate_coordinates_bounded_by_initial_tail_bound():
         g = random_stopping_game(seed)
         cap = tail_bound(g, 0)
         res = value_iterate(g, EPS, 60)
-        for curves in res.history:
+        for curves in islice(iterates(g), res.iterations + 1):
             for f in curves.values():
                 for x, y in f.vertices:
                     assert abs(x) <= cap and abs(y) <= cap
@@ -161,12 +165,80 @@ def test_fixpoint_reported_implies_check_fixpoint():
     hits = 0
     for seed in range(40):
         g = random_stopping_game(seed)
-        res = value_iterate(g, EPS, 400, keep_history=False)
+        res = value_iterate(g, EPS, 400)
         if res.fixpoint_reached:
             hits += 1
             assert check_fixpoint(g, res.curves)
             assert res.residual_bound == 0
     assert hits > 0
+
+
+@pytest.mark.parametrize(
+    "case", ["fig3"] + [f"seed{seed}" for seed in range(10)]
+)
+def test_value_iterate_stops_on_an_iterate(case, fig3):
+    # every run of n sweeps returns exactly the n-th yielded map
+    g = fig3 if case == "fig3" else random_stopping_game(int(case[4:]))
+    eps, cap = (TINY, 14) if case == "fig3" else (EPS, 40)
+    hist = list(islice(iterates(g), cap + 1))
+    for n in range(value_iterate(g, eps, cap).iterations + 1):
+        assert value_iterate(g, eps, n).curves == hist[n]
+
+
+def test_iterates_yield_fresh_maps(fig3):
+    gen = iterates(fig3)
+    x0 = next(gen)
+    x0["s0"] = translate(x0["s0"], (1, 1))
+    assert next(gen) == bellman_step(fig3, initial_curves(fig3))
+
+
+def test_residuals_are_the_per_sweep_bounds():
+    for seed in range(40):
+        g = random_stopping_game(seed)
+        res = value_iterate(g, EPS, 60)
+        assert len(res.residuals) == res.iterations
+        for n, r in enumerate(res.residuals, 1):
+            assert 0 <= r <= tail_bound(g, n)
+        if res.fixpoint_reached:
+            assert res.residual_bound == 0
+        elif res.residuals:
+            assert res.residual_bound == res.residuals[-1]
+
+
+def test_fixpoint_sweep_keeps_its_residual():
+    res = value_iterate(random_stopping_game(30), EPS, 400)
+    assert res.fixpoint_reached and res.residual_bound == 0
+    assert res.residuals[-1] > EPS
+
+
+def test_non_stopping_game_has_no_residuals():
+    g = Game("a", (StateRecord("a", Kind.P1, (F(1), F(1)), (("a", F(1)),)),))
+    res = value_iterate(g, EPS, 5)
+    assert res.residuals == () and res.residual_bound is None
+    assert res.iterations == 5 and not res.converged
+
+
+@pytest.mark.parametrize("sweeps", [1, 5, 12])
+def test_stopping_rule_constants_computed_once(fig3, monkeypatch, sweeps):
+    calls = {"check_stopping": 0, "tail_bound": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    stop = counted("check_stopping", paretogames.games.check_stopping)
+    monkeypatch.setattr(paretogames.games, "check_stopping", stop)
+    monkeypatch.setattr(paretogames.bellman, "check_stopping", stop)
+    monkeypatch.setattr(
+        paretogames.bellman,
+        "tail_bound",
+        counted("tail_bound", paretogames.bellman.tail_bound),
+    )
+    res = value_iterate(fig3, TINY, sweeps)
+    assert res.iterations == sweeps
+    assert calls == {"check_stopping": 2, "tail_bound": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from paretogames import (
     StateRecord,
     save_betting,
     save_game,
+    value_iterate,
 )
 from paretogames.cli import main
-from randgen import random_betting_game
+from randgen import random_betting_game, random_stopping_game
 import random
 
 
@@ -171,6 +172,59 @@ def test_solve_vi_converges_on_heating(heating_path, tmp_path, capsys):
     run_info = json.loads((out_dir / "run.json").read_text())
     assert run_info["converged"] is True
     assert run_info["fixpoint_reached"] is False
+    log = (out_dir / "iterations.log").read_text().splitlines()
+    assert len(log) == 200
+    assert log[-1] == f"200 residual_bound={run_info['residual_bound']}"
+
+
+def _log_lines(result) -> list[str]:
+    return [
+        f"{n} residual_bound={r.numerator}/{r.denominator}"
+        for n, r in enumerate(result.residuals, 1)
+    ]
+
+
+def test_iterations_log_is_the_run_residuals(fig3, fig3_path, tmp_path, capsys):
+    out_dir = tmp_path / "vi"
+    code, _, _ = run(
+        capsys, "solve-vi", fig3_path, "--max-iters", "12",
+        "--epsilon", "1/1000000000000", "--out-dir", str(out_dir),
+    )
+    assert code == 3
+    result = value_iterate(fig3, F(1, 10**12), 12)
+    log = (out_dir / "iterations.log").read_text().splitlines()
+    assert log == _log_lines(result) and len(log) == 12
+
+
+def test_iterations_log_of_a_fixpoint_stop(tmp_path, capsys):
+    g = random_stopping_game(30)
+    result = value_iterate(g, F(1, 1000), 400)
+    assert result.fixpoint_reached and result.iterations > 1
+    p = tmp_path / "g.json"
+    save_game(g, p)
+    out_dir = tmp_path / "vi"
+    code, out, _ = run(capsys, "solve-vi", str(p), "--out-dir", str(out_dir))
+    assert code == 0
+    assert f"iterations={result.iterations} residual_bound=0/1" in out
+    log = (out_dir / "iterations.log").read_text().splitlines()
+    assert log == _log_lines(result) and len(log) == result.iterations
+    # the fixpoint sweep keeps its certified residual in the log
+    assert log[-1] != f"{result.iterations} residual_bound=0/1"
+
+
+def test_iterations_log_of_a_non_stopping_game(tmp_path, capsys):
+    loop = Game(
+        "a", (StateRecord("a", Kind.P1, (F(1), F(1)), (("a", F(1)),)),)
+    )
+    p = tmp_path / "loop.json"
+    save_game(loop, p)
+    out_dir = tmp_path / "vi"
+    code, out, _ = run(
+        capsys, "solve-vi", str(p), "--max-iters", "4", "--out-dir", str(out_dir)
+    )
+    assert code == 3 and "residual_bound=n/a" in out
+    log = (out_dir / "iterations.log").read_text().splitlines()
+    assert log == [f"{n} residual_bound=n/a" for n in range(1, 5)]
 
 
 def test_solve_vi_svg_output(fig3_path, tmp_path, capsys):
@@ -254,6 +308,68 @@ def test_query_unknown_state_is_input_error(fig3_path, capsys):
         "0,0",
     )
     assert code == 2 and err.startswith("error: UnknownState")
+
+
+# ---------------------------------------------------------------------------
+# zero denominators are input errors
+
+
+def _zero_prob_game(tmp_path):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({
+        "initial": "a",
+        "states": [
+            {"id": "a", "kind": "chance", "reward": ["1", "0"],
+             "transitions": [{"to": "t", "prob": "1/0"}]},
+            {"id": "t", "kind": "terminal", "reward": ["0", "0"],
+             "transitions": [{"to": "t"}]},
+        ],
+    }))
+    return ["validate", str(p)]
+
+
+def _zero_csv_audit(tmp_path, heating_path):
+    curves = tmp_path / "curves"
+    curves.mkdir()
+    (curves / "CC1.csv").write_text("1/0,0\n")
+    return ["audit", heating_path, "--curves", str(curves)]
+
+
+def _zero_betting(tmp_path, bound="100", weight=None):
+    bg, targets = random_betting_game(random.Random(3))
+    p = tmp_path / "bet.json"
+    save_betting(bg, p)
+    if weight is not None:
+        data = json.loads(p.read_text())
+        data["states"][0]["transitions"][0]["weight"] = weight
+        p.write_text(json.dumps(data))
+    return ["betting-sim", str(p), "--target", ",".join(sorted(targets)),
+            "--bound", bound]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, game: ["discount", game, "--delta", "1/0",
+                           "-o", str(tmp / "x.json")],
+        lambda tmp, game: ["solve-vi", game, "--epsilon", "1/0",
+                           "--out-dir", str(tmp / "vi")],
+        lambda tmp, game: ["query", game, "--state", "HH1",
+                           "--point=1/0,0"],
+        lambda tmp, game: _zero_prob_game(tmp),
+        _zero_csv_audit,
+        lambda tmp, game: _zero_betting(tmp, bound="1/0"),
+        lambda tmp, game: _zero_betting(tmp, weight="1/0"),
+    ],
+    ids=["delta", "epsilon", "point", "game-prob", "audit-csv", "bound",
+         "betting-weight"],
+)
+def test_zero_denominator_is_an_input_error(
+    argv, heating_path, tmp_path, capsys
+):
+    code, _, err = run(capsys, *argv(tmp_path, heating_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_vi_within_residual_of_enumeration_when_determined():
         if not ok:
             continue
         checked += 1
-        res = value_iterate(g, F(1, 1000), 10000, keep_history=False)
+        res = value_iterate(g, F(1, 1000), 10000)
         assert res.converged
         r = res.residual_bound
         assert r is not None

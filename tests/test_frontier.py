@@ -18,7 +18,6 @@ from paretogames import (
     WeightsInvalid,
     canonicalize,
     contains,
-    distance,
     dwc_conv_union,
     evaluate,
     extremal_points,
@@ -255,7 +254,7 @@ def test_weighted_sum_support_linearity_32_directions():
 
 
 # ---------------------------------------------------------------------------
-# translate / support / contains / extremal_points / distance
+# translate / support / contains / extremal_points
 
 
 def test_translate_examples():
@@ -305,14 +304,6 @@ def test_contains_basics():
 def test_extremal_points_returns_vertices():
     f = fr((0, 1), (1, 0), (F(1, 2), F(1, 2)))
     assert extremal_points(f) == ((F(0), F(1)), (F(1), F(0)))
-
-
-def test_distance_zero_iff_equal():
-    f = fr((0, 1), (1, 0))
-    g = fr((0, 1), (F(3, 4), F(1, 4)))
-    assert distance(f, f) == 0
-    assert distance(f, g) > 0
-    assert distance(f, g) == distance(g, f)
 
 
 # ---------------------------------------------------------------------------

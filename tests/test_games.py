@@ -204,8 +204,8 @@ def test_normalize_preserves_curves_on_random_games():
     for seed in range(12):
         g = random_stopping_game(seed, max_states=4)
         out = normalize(g)
-        res_g = value_iterate(g, EPS, 10000, keep_history=False)
-        res_n = value_iterate(out, EPS, 10000, keep_history=False)
+        res_g = value_iterate(g, EPS, 10000)
+        res_n = value_iterate(out, EPS, 10000)
         tol = (res_g.residual_bound or 0) + (res_n.residual_bound or 0)
         for sid in g.state_ids:
             a = res_g.curves[sid]
@@ -218,8 +218,8 @@ def test_normalize_preserves_curves_on_random_games():
 def test_normalize_preserves_heating_curve_at_relocated_state(heating):
     out = normalize(heating)
     assert validate_game(out).ok
-    res_g = value_iterate(heating, EPS, 10000, keep_history=False)
-    res_n = value_iterate(out, EPS, 10000, keep_history=False)
+    res_g = value_iterate(heating, EPS, 10000)
+    res_n = value_iterate(out, EPS, 10000)
     tol = (res_g.residual_bound or 0) + (res_n.residual_bound or 0)
     a = res_g.curves["CC1"]
     b = res_n.curves[_entry_state(heating, out, "CC1")]
