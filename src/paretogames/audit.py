@@ -41,12 +41,16 @@ from .frontier import (
     slope_at,
     translate,
     weighted_sum,
-    _cross,
     _vertices_of,
 )
 from .games import Game, Kind
 
 Slope = Union[Fraction, float]  # float only for the -infinity sentinel
+
+
+def _cross(o: Point, a: Point, b: Point) -> Fraction:
+    """z-component of (a - o) x (b - o)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,15 @@ def _min_probability(g: Game) -> Fraction:
     return min(probs, default=Fraction(1))
 
 
-def _window_escape(g: Game) -> Fraction:
-    """q: a lower bound, in a stopping game, on the probability that any
-    window of |S| steps ends in a terminal, whatever both players do."""
-    return _min_probability(g) ** len(g.states)
+def _tail_terms(g: Game) -> tuple[Fraction, Fraction]:
+    """(ceiling, decay) of a game already known to be stopping, such that
+    tail_bound(g, n) = ceiling * decay ** floor(n / |S|).
+
+    q = p_min^|S| bounds from below the probability that any window of |S|
+    steps ends in a terminal, whatever both players do; ceiling = |S|·R/q
+    and decay = 1 - q."""
+    q = _min_probability(g) ** len(g.states)
+    return len(g.states) * _reward_magnitude(g) / q, 1 - q
 
 
 def tail_bound(g: Game, n: int) -> Fraction:
@@ -152,15 +157,8 @@ def tail_bound(g: Game, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     require_stopping(g, "tail bound requires a stopping game")
-    size = len(g.states)
-    big_r = _reward_magnitude(g)
-    if big_r == 0:
-        return Fraction(0)
-    q = _window_escape(g)
-    k0 = n // size
-    if q == 1:
-        return size * big_r if k0 == 0 else Fraction(0)
-    return size * big_r * (1 - q) ** k0 / q
+    ceiling, decay = _tail_terms(g)
+    return ceiling * decay ** (n // len(g.states))
 
 
 def _alive_step(g: Game, alive: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -216,9 +214,9 @@ def value_iterate(
 
     ``residuals`` holds that residual for every sweep that ran, the
     fixpoint sweep included (it is empty for non-stopping games).  The
-    game constants of the rule are computed once: with ceiling =
-    tail_bound(g, 0) and q its window escape probability, tail_bound(g, n)
-    = ceiling * (1-q)^floor(n/|S|) exactly.
+    game is checked for stopping once, and the constants of the rule come
+    once from the helper behind ``tail_bound``: tail_bound(g, n) =
+    ceiling * decay^floor(n/|S|) exactly.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
@@ -227,8 +225,7 @@ def value_iterate(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     stopping = check_stopping(g).stopping
     if stopping:
-        ceiling = tail_bound(g, 0)
-        decay = 1 - _window_escape(g)
+        ceiling, decay = _tail_terms(g)
     size = len(g.states)
     alive: dict[str, Fraction] = {
         s.id: Fraction(0 if s.kind is Kind.TERMINAL else 1) for s in g.states

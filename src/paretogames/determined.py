@@ -16,7 +16,7 @@ from typing import Iterator
 from .bellman import CurveMap, check_fixpoint
 from .frontier import intersect_min
 from .games import Game, Kind, require_stopping, require_valid
-from .mdp import MDStrategy, induce_mdp, mdp_pareto_curves
+from .mdp import MDStrategy, _pareto_curves, induce_mdp
 
 
 def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
@@ -40,7 +40,11 @@ def solve_determined(g: Game) -> CurveMap:
     require_stopping(g, "strategy enumeration requires a stopping game")
     curves: CurveMap = {}
     for sigma in enumerate_md_strategies(g):
-        nxt = mdp_pareto_curves(induce_mdp(g, sigma))
+        # No check per process: fixing sigma turns each Player-2 state into a
+        # one-successor chance state (still valid), and a set of states closed
+        # in the process is closed in g (sigma(s) in the set is a successor in
+        # it), so a stopping g yields only stopping processes.
+        nxt = _pareto_curves(induce_mdp(g, sigma))
         curves = (
             {sid: intersect_min(curves[sid], nxt[sid]) for sid in curves}
             if curves

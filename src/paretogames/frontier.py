@@ -12,20 +12,28 @@ where ``F(a) = y_first`` for ``a <= x_first`` and F interpolates linearly on
 ray to the left and vertical ray below the last vertex.
 
 All coordinates are :class:`fractions.Fraction`; every operation is exact and
-pure, so frontiers are safe to share between threads.
+pure, and a frontier is immutable.  Every :class:`Frontier`, operation outputs
+included, is validated on construction by one pass over its segment slopes.
+
+The binary operations take canonical inputs and merge them in time linear in
+their total vertex count: ``weighted_sum`` merges the two segment chains by
+slope, ``dwc_conv_union`` merges the two x-sorted vertex lists and makes one
+domination-and-hull pass, and ``intersect_min`` sweeps both lists once,
+emitting the minimum and the exact crossings in x order.  Only
+``canonicalize``, which takes arbitrary points, sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from numbers import Rational
 from typing import Iterable, Sequence, Union
 
 from .errors import (
     BadDirection,
     EmptyInput,
-    InvariantBroken,
     OutOfDomain,
     WeightsInvalid,
 )
@@ -62,9 +70,9 @@ def as_point(pair: Sequence[RationalLike]) -> Point:
     return (as_fraction(pair[0]), as_fraction(pair[1]))
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    """z-component of (a - o) x (b - o)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _slopes(verts: Sequence[Point]) -> list[Fraction]:
+    """Slope of each segment of a vertex list with x strictly increasing."""
+    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,14 @@ class Frontier:
                     f"vertices must be strictly decreasing staircase-free: "
                     f"({x0},{y0}) then ({x1},{y1})"
                 )
-        for a, b, c in zip(verts, verts[1:], verts[2:]):
-            if _cross(a, b, c) >= 0:
+        # with x strictly increasing, strict concavity is exactly strictly
+        # decreasing segment slopes
+        slopes = _slopes(verts)
+        for i in range(len(slopes) - 1):
+            if slopes[i] <= slopes[i + 1]:
                 raise ValueError(
-                    f"vertices must be strictly concave: {a}, {b}, {c} are not"
+                    f"vertices must be strictly concave: {verts[i]}, "
+                    f"{verts[i + 1]}, {verts[i + 2]} are not"
                 )
 
     # -- basic accessors ----------------------------------------------------
@@ -141,6 +153,11 @@ def canonicalize(points: PointsLike) -> Frontier:
     pts = sorted(set(_vertices_of(points)))
     if not pts:
         raise EmptyInput("cannot build a frontier from no points")
+    return _hull_of_sorted(pts)
+
+
+def _hull_of_sorted(pts: Sequence[Point]) -> Frontier:
+    """Frontier of nonempty points sorted by (x, y), repeats allowed."""
     # Domination sweep: walk x descending, keep points with strictly
     # increasing y.  Equal x was collapsed to the max y by the sort order.
     kept: list[Point] = []
@@ -156,13 +173,21 @@ def canonicalize(points: PointsLike) -> Frontier:
             kept.append(top)
             best_y = top[1]
     kept.reverse()  # now x strictly increasing, y strictly decreasing
-    # Upper concave hull: drop middle vertex whenever the turn is not
-    # strictly right (cross >= 0 means collinear or convex dent).
-    hull: list[Point] = []
-    for p in kept:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0:
+    # Upper concave hull: drop the last hull vertex while the segment to p
+    # is not strictly steeper-down than the segment into it (collinear or a
+    # convex dent).
+    hull = [kept[0]]
+    slopes: list[Fraction] = []  # slopes[k]: hull[k] -> hull[k + 1]
+    for x, y in kept[1:]:
+        while True:
+            x0, y0 = hull[-1]
+            s = (y - y0) / (x - x0)
+            if not slopes or slopes[-1] > s:
+                break
             hull.pop()
-        hull.append(p)
+            slopes.pop()
+        hull.append((x, y))
+        slopes.append(s)
     return Frontier(tuple(hull))
 
 
@@ -236,35 +261,50 @@ def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, fl
 
 def dwc_conv_union(f1: Frontier, f2: Frontier) -> Frontier:
     """Frontier of the downward-closed convex hull of the union."""
-    return canonicalize(f1.vertices + f2.vertices)
+    return _hull_of_sorted(list(merge(f1.vertices, f2.vertices)))
+
+
+def _height_before(verts: tuple[Point, ...], k: int, x: Fraction) -> Fraction:
+    """F(x) for x strictly left of vertex k and right of vertex k-1."""
+    if k == 0:
+        return verts[0][1]
+    (x0, y0), (x1, y1) = verts[k - 1], verts[k]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
 def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
-    """Frontier of the intersection: pointwise min on x <= min(x_last)."""
+    """Frontier of the intersection: pointwise min on x <= min(x_last).
+
+    One sweep over both vertex lists in x order samples the minimum at
+    every vertex x up to min(x_last) and adds the exact crossing inside
+    each cell where the difference of the two heights changes sign."""
+    v1, v2 = f1.vertices, f2.vertices
     x_hi = min(f1.x_last, f2.x_last)
-    xs = sorted(
-        {v[0] for v in f1.vertices if v[0] <= x_hi}
-        | {v[0] for v in f2.vertices if v[0] <= x_hi}
-        | {x_hi}
-    )
     pts: list[Point] = []
-    vals: list[tuple[Fraction, Fraction]] = []
-    for x in xs:
-        y1 = evaluate(f1, x)
-        y2 = evaluate(f2, x)
-        if y1 is None or y2 is None:
-            raise InvariantBroken(f"x={x} lies beyond x_hi={x_hi}")
-        vals.append((y1, y2))
+    i = j = 0
+    prev: tuple[Fraction, Fraction, Fraction] | None = None
+    while True:  # x_hi is a vertex x, so the sweep stops before either runs out
+        (xa, ya), (xb, yb) = v1[i], v2[j]
+        if xa < xb:
+            x, y1, y2 = xa, ya, _height_before(v2, j, xa)
+            i += 1
+        elif xb < xa:
+            x, y1, y2 = xb, _height_before(v1, i, xb), yb
+            j += 1
+        else:
+            x, y1, y2 = xa, ya, yb
+            i += 1
+            j += 1
+        if prev is not None:
+            xp, a1, a2 = prev
+            da, db = a1 - a2, y1 - y2
+            if (da > 0 > db) or (da < 0 < db):
+                t = da / (da - db)
+                pts.append((xp + (x - xp) * t, a1 + (y1 - a1) * t))
         pts.append((x, min(y1, y2)))
-    # exact crossing points inside each cell where the difference changes sign
-    for (xa, (a1, a2)), (xb, (b1, b2)) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        da, db = a1 - a2, b1 - b2
-        if (da > 0 > db) or (da < 0 < db):
-            t = da / (da - db)
-            xc = xa + (xb - xa) * t
-            yc = a1 + (b1 - a1) * t
-            pts.append((xc, yc))
-    return canonicalize(pts)
+        if x == x_hi:
+            return _hull_of_sorted(pts)
+        prev = (x, y1, y2)
 
 
 def translate(f: Frontier, v: Sequence[RationalLike]) -> Frontier:
@@ -276,10 +316,11 @@ def translate(f: Frontier, v: Sequence[RationalLike]) -> Frontier:
 def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
     """Frontier of the probability-weighted Minkowski sum of 1-2 sets.
 
-    Built by summing the scaled first vertices and then appending all scaled
-    segments in order of strictly decreasing slope (equal slopes merge) —
-    scaling a segment by p > 0 keeps its slope, so the merged chain is the
-    frontier of the scaled Minkowski sum.
+    Scaling by p > 0 keeps every segment slope, so the frontier of the sum
+    walks both scaled chains from their first vertices, always taking the
+    segment of strictly greater slope next and both segments together when
+    the slopes are equal.  Each vertex it reaches is the sum of one scaled
+    vertex of each chain, and the walk yields the canonical list directly.
     """
     if not 1 <= len(terms) <= 2:
         raise WeightsInvalid(f"need 1-2 weighted terms, got {len(terms)}")
@@ -288,24 +329,30 @@ def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
         raise WeightsInvalid(f"weights must be positive, got {weights}")
     if sum(weights) != 1:
         raise WeightsInvalid(f"weights must sum to 1, got {weights}")
-    fronts = [f for _, f in terms]
-    start = (
-        sum(p * f.x_first for p, f in zip(weights, fronts)),
-        sum(p * f.y_first for p, f in zip(weights, fronts)),
-    )
-    # gather scaled segment vectors with their slopes
-    segs: list[tuple[Fraction, Fraction, Fraction]] = []  # (slope, dx, dy)
-    for p, f in zip(weights, fronts):
-        for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:]):
-            dx, dy = p * (x1 - x0), p * (y1 - y0)
-            segs.append((dy / dx, dx, dy))
-    segs.sort(key=lambda s: s[0], reverse=True)
-    verts: list[Point] = [start]
-    for slope, dx, dy in segs:
-        x, y = verts[-1]
-        verts.append((x + dx, y + dy))
-    # merging of equal-slope neighbours falls out of canonicalization
-    return canonicalize(verts)
+    if len(terms) == 1:
+        return terms[0][1]
+    (p, q), (f, g) = weights, (terms[0][1], terms[1][1])
+    if len(f) < len(g):  # keep any one-vertex term second
+        p, f, q, g = q, g, p, f
+    a = [(p * x, p * y) for x, y in f.vertices]
+    if len(g) == 1:
+        bx, by = g.vertices[0]
+        bx, by = q * bx, q * by
+        return Frontier(tuple((x + bx, y + by) for x, y in a))
+    b = [(q * x, q * y) for x, y in g.vertices]
+    sa, sb = _slopes(f.vertices), _slopes(g.vertices)
+    i = j = 0
+    out = [(a[0][0] + b[0][0], a[0][1] + b[0][1])]
+    while i < len(sa) or j < len(sb):
+        if j == len(sb) or (i < len(sa) and sa[i] > sb[j]):
+            i += 1
+        elif i == len(sa) or sb[j] > sa[i]:
+            j += 1
+        else:  # equal slopes: one merged segment
+            i += 1
+            j += 1
+        out.append((a[i][0] + b[j][0], a[i][1] + b[j][1]))
+    return Frontier(tuple(out))
 
 
 # ---------------------------------------------------------------------------

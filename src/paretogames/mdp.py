@@ -119,6 +119,11 @@ def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
     require_valid(mdp)
     _require_no_p2_choice(mdp)
     _require_policy(mdp, pol)
+    return _policy_values(mdp, pol)
+
+
+def _policy_values(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
+    """``policy_evaluate`` on a process and a policy already known valid."""
     non_term = [s for s in mdp.states if s.kind is not Kind.TERMINAL]
     index = {s.id: i for i, s in enumerate(non_term)}
     n = len(non_term)
@@ -162,14 +167,17 @@ _Evaluator = Callable[[MDPolicy], dict[str, Point]]
 def _memo_evaluate(mdp: Game) -> _Evaluator:
     """policy_evaluate on one process, each distinct policy solved once.
 
-    The memo lives as long as the returned function, i.e. one public call."""
+    The memo lives as long as the returned function, i.e. one public call,
+    which has validated the process; policy iteration only builds policies
+    that choose a successor at every Player-1 state, so neither is checked
+    again."""
     memo: dict[tuple[tuple[str, str], ...], dict[str, Point]] = {}
 
     def evaluate(pol: MDPolicy) -> dict[str, Point]:
         key = tuple(sorted(pol.items()))
         values = memo.get(key)
         if values is None:
-            values = memo[key] = policy_evaluate(mdp, pol)
+            values = memo[key] = _policy_values(mdp, pol)
         return values
 
     return evaluate
@@ -354,6 +362,12 @@ def mdp_pareto_curves(mdp: Game) -> dict[str, Frontier]:
     optimal policy is computed once, and each distinct policy is evaluated
     once.  Each curve equals ``mdp_pareto_curve(mdp, s)``."""
     _require_stopping_process(mdp)
+    return _pareto_curves(mdp)
+
+
+def _pareto_curves(mdp: Game) -> dict[str, Frontier]:
+    """``mdp_pareto_curves`` of a process already known to be a valid
+    stopping process without Player-2 choice."""
     return {
         s: canonicalize(list(witnesses))
         for s, witnesses in _pareto_witnesses(mdp, mdp.state_ids).items()

@@ -1,6 +1,7 @@
 """Curve equations engine: operator, iteration, tail bound, queries."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import islice
@@ -218,9 +219,27 @@ def test_non_stopping_game_has_no_residuals():
     assert res.iterations == 5 and not res.converged
 
 
+# SHA-256 of repr(sorted(value_iterate(g, 1/1000, 40).curves.items())),
+# computed with the sort-and-hull curve kernel that preceded the linear
+# merges.  Any change to a single bit of any curve fails this test.
+CURVE_DIGESTS = {
+    "fig3": "d7ff0b53740106998643808cd6a3fba47631111b5cb453ecf5a0b35b41367f9a",
+    # 4 states: Player-1, Player-2 and chance states with two successors each
+    "random-47": "970f17713ab2ec88b0bfabde69fb0d25412a844c83cdb6c9aec70caf093a49b2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_DIGESTS))
+def test_value_iteration_curves_are_bit_identical(name, fig3):
+    g = fig3 if name == "fig3" else random_stopping_game(47)
+    curves = value_iterate(g, EPS, 40).curves
+    digest = hashlib.sha256(repr(sorted(curves.items())).encode()).hexdigest()
+    assert digest == CURVE_DIGESTS[name]
+
+
 @pytest.mark.parametrize("sweeps", [1, 5, 12])
 def test_stopping_rule_constants_computed_once(fig3, monkeypatch, sweeps):
-    calls = {"check_stopping": 0, "tail_bound": 0}
+    calls = {"check_stopping": 0, "tail_bound": 0, "_tail_terms": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -231,14 +250,15 @@ def test_stopping_rule_constants_computed_once(fig3, monkeypatch, sweeps):
     stop = counted("check_stopping", paretogames.games.check_stopping)
     monkeypatch.setattr(paretogames.games, "check_stopping", stop)
     monkeypatch.setattr(paretogames.bellman, "check_stopping", stop)
-    monkeypatch.setattr(
-        paretogames.bellman,
-        "tail_bound",
-        counted("tail_bound", paretogames.bellman.tail_bound),
-    )
+    for name in ("tail_bound", "_tail_terms"):
+        monkeypatch.setattr(
+            paretogames.bellman,
+            name,
+            counted(name, getattr(paretogames.bellman, name)),
+        )
     res = value_iterate(fig3, TINY, sweeps)
     assert res.iterations == sweeps
-    assert calls == {"check_stopping": 2, "tail_bound": 1}
+    assert calls == {"check_stopping": 1, "tail_bound": 0, "_tail_terms": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,44 @@ def test_each_process_policy_pair_evaluated_once(heating, monkeypatch):
     import paretogames.mdp as mdp_module
 
     seen: list[tuple[Game, frozenset]] = []
-    original = mdp_module.policy_evaluate
+    original = mdp_module._policy_values
 
     def counting(mdp, pol):
         seen.append((mdp, frozenset(pol.items())))
         return original(mdp, pol)
 
-    monkeypatch.setattr(mdp_module, "policy_evaluate", counting)
+    monkeypatch.setattr(mdp_module, "_policy_values", counting)
     v = solve_determined(heating)
     for sid, pts in HEATING_EXACT.items():
         assert v[sid] == frontier_of(pts)
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def test_game_checked_once_and_processes_trusted(heating, monkeypatch):
+    import paretogames.games as games_module
+    import paretogames.mdp as mdp_module
+
+    calls = {"check_stopping": 0, "policy_evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        games_module,
+        "check_stopping",
+        counted("check_stopping", games_module.check_stopping),
+    )
+    monkeypatch.setattr(
+        mdp_module,
+        "policy_evaluate",
+        counted("policy_evaluate", mdp_module.policy_evaluate),
+    )
+    solve_determined(heating)
+    assert calls == {"check_stopping": 1, "policy_evaluate": 0}
 
 
 def test_solve_requires_stopping():

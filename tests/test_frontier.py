@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import floatoracle as fo
@@ -35,6 +36,60 @@ point_lists = st.lists(st.tuples(rational, rational), min_size=1, max_size=8)
 
 def fr(*pts) -> Frontier:
     return canonicalize([tuple(map(F, p)) for p in pts])
+
+
+# ---------------------------------------------------------------------------
+# Frontier validation
+
+
+@pytest.mark.parametrize(
+    "vertices, error, message",
+    [
+        ((), EmptyInput, "a frontier needs at least one vertex"),
+        (
+            ((0, 1), (0, 0)),
+            ValueError,
+            "vertices must be strictly decreasing staircase-free: "
+            "(0,1) then (0,0)",
+        ),
+        (
+            ((0, 1), (1, 1)),
+            ValueError,
+            "vertices must be strictly decreasing staircase-free: "
+            "(0,1) then (1,1)",
+        ),
+        (
+            ((0, 2), (1, 1), (2, 0)),
+            ValueError,
+            "vertices must be strictly concave: (Fraction(0, 1), Fraction(2, 1)), "
+            "(Fraction(1, 1), Fraction(1, 1)), (Fraction(2, 1), Fraction(0, 1)) "
+            "are not",
+        ),
+        (
+            ((0, 3), (1, 2), (2, 0), (3, -1)),
+            ValueError,
+            "vertices must be strictly concave: (Fraction(1, 1), Fraction(2, 1)), "
+            "(Fraction(2, 1), Fraction(0, 1)), (Fraction(3, 1), Fraction(-1, 1)) "
+            "are not",
+        ),
+        # a collinear triple before a repeated x: the staircase error wins
+        (
+            ((0, 2), (1, 1), (2, 0), (2, -1)),
+            ValueError,
+            "vertices must be strictly decreasing staircase-free: "
+            "(2,0) then (2,-1)",
+        ),
+    ],
+    ids=["empty", "repeated-x", "flat-y", "collinear", "dent", "staircase-first"],
+)
+def test_frontier_rejects_non_canonical_vertices(vertices, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Frontier(tuple((F(x), F(y)) for x, y in vertices))
+
+
+def test_frontier_accepts_and_converts_canonical_vertices():
+    f = Frontier(((0, 2), ("1/2", F(3, 2)), (2, -1)))
+    assert f.vertices == ((F(0), F(2)), (F(1, 2), F(3, 2)), (F(2), F(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +306,107 @@ def test_weighted_sum_support_linearity_32_directions():
             assert support(s, w) == p * support(f1, w) + (1 - p) * support(
                 f2, w
             )
+
+
+# ---------------------------------------------------------------------------
+# Each binary operation equals canonicalize of its full candidate point set
+
+
+grid = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+frontiers = st.lists(st.tuples(grid, grid), min_size=1, max_size=7).map(
+    canonicalize
+)
+weights = st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(9, 10)])
+
+# (f1, f2): singletons, a slope shared by both chains, shared vertices,
+# equal x_last, and two chains that cross twice
+MERGE_CASES = [
+    (fr((0, 0)), fr((1, 0))),
+    (fr((0, 0)), fr((-1, 2), (0, 1), (2, -1))),
+    (fr((0, 2), (1, 1), (3, 0)), fr((0, 1), (1, 0))),
+    (fr((0, 2), (1, 1), (2, -1)), fr((-1, 3), (1, 1), (3, 0))),
+    (fr((0, 2), (2, 0)), fr((-1, 1), (1, F(1, 2)), (2, 0))),
+    (fr((0, 2), (2, 1), (3, -3)), fr((-2, 3), (4, -3))),
+]
+
+
+def _sum_candidates(terms) -> list:
+    """Start at the summed first vertices, then add every scaled segment in
+    order of decreasing slope."""
+    pts = [
+        (
+            sum(p * f.x_first for p, f in terms),
+            sum(p * f.y_first for p, f in terms),
+        )
+    ]
+    segs = sorted(
+        (
+            ((y1 - y0) / (x1 - x0), p * (x1 - x0), p * (y1 - y0))
+            for p, f in terms
+            for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:])
+        ),
+        key=lambda seg: seg[0],
+        reverse=True,
+    )
+    for _, dx, dy in segs:
+        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+    return pts
+
+
+def _min_candidates(f1: Frontier, f2: Frontier) -> list:
+    """The minimum sampled at every vertex x up to min(x_last), plus the
+    crossing inside every cell where the two heights swap order."""
+    x_hi = min(f1.x_last, f2.x_last)
+    xs = sorted({x for x, _ in f1.vertices + f2.vertices if x <= x_hi})
+    ys = [(evaluate(f1, x), evaluate(f2, x)) for x in xs]
+    pts = [(x, min(y1, y2)) for x, (y1, y2) in zip(xs, ys)]
+    for (xa, (a1, a2)), (xb, (b1, b2)) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+        da, db = a1 - a2, b1 - b2
+        if da * db < 0:
+            t = da / (da - db)
+            pts.append((xa + (xb - xa) * t, a1 + (b1 - a1) * t))
+    return pts
+
+
+@pytest.mark.parametrize("f1, f2", MERGE_CASES)
+@pytest.mark.parametrize("p", [F(1, 2), F(1, 3)])
+def test_merges_match_canonicalized_candidates_on_edge_cases(f1, f2, p):
+    for a, b in ((f1, f2), (f2, f1)):
+        terms = [(p, a), (1 - p, b)]
+        assert weighted_sum(terms) == canonicalize(_sum_candidates(terms))
+        assert dwc_conv_union(a, b) == canonicalize(a.vertices + b.vertices)
+        assert intersect_min(a, b) == canonicalize(_min_candidates(a, b))
+
+
+def test_crossing_twice_keeps_both_crossings():
+    f1, f2 = MERGE_CASES[-1]
+    assert intersect_min(f1, f2).vertices == (
+        (F(-1), F(2)),
+        (F(8, 3), F(-5, 3)),
+        (F(3), F(-3)),
+    )
+    assert len(_min_candidates(f1, f2)) == 6  # 4 samples and 2 crossings
+
+
+@settings(max_examples=300)
+@given(frontiers, frontiers, weights)
+def test_weighted_sum_matches_canonicalized_segment_sums(f1, f2, p):
+    terms = [(p, f1), (1 - p, f2)]
+    assert weighted_sum(terms) == canonicalize(_sum_candidates(terms))
+    assert weighted_sum([(1, f1)]) == f1
+
+
+@settings(max_examples=300)
+@given(frontiers, frontiers)
+def test_union_matches_canonicalized_vertex_lists(f1, f2):
+    assert dwc_conv_union(f1, f2) == canonicalize(f1.vertices + f2.vertices)
+
+
+@settings(max_examples=300)
+@given(frontiers, frontiers)
+@example(*MERGE_CASES[-1])
+def test_min_matches_canonicalized_samples_and_crossings(f1, f2):
+    assert intersect_min(f1, f2) == canonicalize(_min_candidates(f1, f2))
 
 
 # ---------------------------------------------------------------------------
