@@ -43,7 +43,7 @@ from .frontier import (
     weighted_sum,
     _vertices_of,
 )
-from .games import Game, Kind
+from .games import Game, Kind, validate_game
 
 Slope = Union[Fraction, float]  # float only for the -infinity sentinel
 
@@ -397,12 +397,22 @@ def audit_game(
 ) -> AuditReport:
     """Run per-kind audits at every non-terminal state; never raises.
 
+    A game that ``validate_game`` rejects fails with one "invalid game"
+    finding per violation, before any relation check.
+
     Without ``prev`` the successors' curves are taken from ``curves`` (the
     right reading for a fixpoint family).  With ``prev``, curve families are
     read the way an in-place sweep produced ``curves`` from ``prev``: a
     successor listed before the state contributes its updated curve, one
     listed at or after it contributes its previous curve.
     """
+    invalid = validate_game(g).violations
+    if invalid:
+        return AuditReport(
+            ok=False,
+            findings=tuple(AuditFinding("", "invalid game", v) for v in invalid),
+            checks_run=1,
+        )
     position = {s.id: i for i, s in enumerate(g.states)}
     findings: list[AuditFinding] = []
     checks = 0

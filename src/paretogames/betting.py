@@ -16,6 +16,10 @@ configuration each step raises p by at least W^|V| - W^(|V|+1) exactly — at
 Eve vertices because the best successor beats the weight-average, at Adam
 vertices because every successor strictly descends a — which yields the
 step-bounded reachability guarantee that the simulator checks per step.
+
+W is derived once per arena and cached on it; ``potential`` alone evaluates
+p, and ``_step_gain`` alone the gain per step.  A play validates its arena
+once, in ``attractor``, before any other work, and then trusts it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import (
@@ -91,7 +96,7 @@ class BettingGame:
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    @property
+    @cached_property
     def min_weight(self) -> Fraction:
         return min(w for v in self.vertices for _, w in v.edges)
 
@@ -222,21 +227,13 @@ def _eve_pick(
     v: BetVertex,
     d: tuple[Fraction, Fraction],
 ) -> BettingConfig:
-    w = bg.min_weight
-    size = len(bg.vertices)
-    best: BettingConfig | None = None
-    best_p: Fraction | None = None
-    for (t, _), di in zip(v.edges, d):
-        if t not in attr.a:
-            continue
-        p = di + w ** attr.a[t] - w ** size
-        if best_p is None or p > best_p:
-            best, best_p = BettingConfig(t, di), p
-    if best is None:
+    options = [BettingConfig(t, di) for (t, _), di in zip(v.edges, d) if t in attr.a]
+    if not options:
         raise InvariantBroken(
             f"{v.id}: winning Eve vertex without a winning successor"
         )
-    return best
+    # max keeps the first of equal potentials, so ties go to the first edge
+    return max(options, key=lambda c: potential(bg, attr, c))
 
 
 def eve_move(
@@ -417,12 +414,15 @@ class Trace:
     step_bound: int
 
 
+def _step_gain(bg: BettingGame) -> Fraction:
+    """W^|V| - W^(|V|+1): the least potential increase per non-target step."""
+    return bg.min_weight ** len(bg.vertices) * (1 - bg.min_weight)
+
+
 def step_bound(bg: BettingGame, B: RationalLike) -> int:
     """ceil((B + W^|V|) / (W^|V| - W^(|V|+1))), from the potential growth."""
     w = bg.min_weight
-    size = len(bg.vertices)
-    delta = w**size - w ** (size + 1)
-    return math.ceil((as_fraction(B) + w**size) / delta)
+    return math.ceil((as_fraction(B) + w ** len(bg.vertices)) / _step_gain(bg))
 
 
 def simulate(
@@ -443,7 +443,6 @@ def simulate(
     (0, 0)), so once the play sits on a target with credit 0 below a
     positive initial credit no target configuration is reachable; the play
     ends there as if the step limit were hit."""
-    require_valid_betting(bg)
     targets = frozenset(T)
     attr = attractor(bg, targets)
     if attr.winning != set(bg.vertex_ids):
@@ -456,9 +455,7 @@ def simulate(
     limit = bound if max_steps is None else max_steps
     adam.prepare(bg, targets, attr)
 
-    w = bg.min_weight
-    size = len(bg.vertices)
-    delta = w**size - w ** (size + 1)
+    delta = _step_gain(bg)
     c0 = bg.initial.credit
     config = bg.initial
     steps = [TraceStep(0, config.vertex, config.credit, potential(bg, attr, config))]
@@ -497,7 +494,7 @@ def simulate(
                     f"{v.id}: chose {choice!r}, not a successor"
                 )
             nxt = BettingConfig(choice, config.credit)
-        p_now = potential(bg, attr, config)
+        p_now = steps[-1].potential
         p_next = potential(bg, attr, nxt)
         if config.vertex not in targets and p_next - p_now < delta:
             raise InvariantBroken(
@@ -553,17 +550,14 @@ def betting_from_json(data: Mapping) -> BettingGame:
             BetVertex(
                 id=rec["id"],
                 kind=rec["kind"],
-                edges=tuple(
-                    (edge["to"], as_fraction(edge["weight"]))
-                    for edge in rec["transitions"]
-                ),
+                edges=tuple((e["to"], e["weight"]) for e in rec["transitions"]),
             )
             for rec in data["states"]
         )
         init = data["initial"]
         return BettingGame(
             vertices=vertices,
-            initial=BettingConfig(init["vertex"], as_fraction(init["credit"])),
+            initial=BettingConfig(init["vertex"], init["credit"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidBettingGame(f"malformed betting game: {exc}") from exc

@@ -405,14 +405,14 @@ def game_from_json(data: Mapping) -> Game:
         states = []
         for rec in data["states"]:
             transitions = tuple(
-                (edge["to"], as_fraction(edge.get("prob", 1)))
+                (edge["to"], edge.get("prob", 1))
                 for edge in rec.get("transitions", ())
             )
             states.append(
                 StateRecord(
                     id=rec["id"],
-                    kind=Kind(rec["kind"]),
-                    reward=as_point(rec["reward"]),
+                    kind=rec["kind"],
+                    reward=rec["reward"],
                     transitions=transitions,
                 )
             )
@@ -451,13 +451,5 @@ def make_game(
     ],
 ) -> Game:
     """Compact constructor: (id, kind, reward, [(target, prob), ...])."""
-    recs = tuple(
-        StateRecord(
-            sid,
-            Kind(kind),
-            as_point(reward),
-            tuple((t, as_fraction(p)) for t, p in transitions),
-        )
-        for sid, kind, reward, transitions in states
-    )
-    return Game(initial, recs)
+    recs = (StateRecord(sid, kind, reward, ts) for sid, kind, reward, ts in states)
+    return Game(initial, tuple(recs))

@@ -198,14 +198,11 @@ def _policy_iterate(
     direction: Point,
     actions: Mapping[str, tuple[str, ...]],
     pol: MDPolicy,
-    history: list[MDPolicy] | None = None,
 ) -> tuple[MDPolicy, dict[str, Point]]:
     """Greedy policy iteration maximizing direction . v within the allowed
     action sets; returns the stable policy and its exact values."""
     pol = dict(pol)
     while True:
-        if history is not None:
-            history.append(dict(pol))
         values = evaluate(pol)
         improved = False
         for sid, choices in actions.items():
@@ -233,16 +230,13 @@ def _optimal_vertex(
     mdp: Game,
     evaluate: _Evaluator,
     w: Point,
-    history: list[MDPolicy] | None = None,
 ) -> tuple[MDPolicy, dict[str, Point]]:
     """Maximize w . v, then break ties toward a vertex of the optimal face
     by a second, restricted policy-iteration pass along an axis."""
     full_actions = {
         s.id: s.successors for s in mdp.states if s.kind is Kind.P1
     }
-    pol, values = _policy_iterate(
-        evaluate, w, full_actions, _initial_policy(mdp), history
-    )
+    pol, values = _policy_iterate(evaluate, w, full_actions, _initial_policy(mdp))
     # restrict every state to its primary-optimal actions; any policy inside
     # this restriction attains the same primary value (the restricted
     # operator has the primary value as its unique fixed point)
@@ -254,9 +248,7 @@ def _optimal_vertex(
         )
         for sid, choices in full_actions.items()
     }
-    pol2, values2 = _policy_iterate(
-        evaluate, _secondary_axis(w), tight_actions, pol, history
-    )
+    pol2, values2 = _policy_iterate(evaluate, _secondary_axis(w), tight_actions, pol)
     return pol2, values2
 
 
@@ -264,8 +256,6 @@ def optimal_policy(
     mdp: Game,
     w: Sequence[RationalLike],
     lexicographic: bool = False,
-    *,
-    history: list[MDPolicy] | None = None,
 ) -> tuple[MDPolicy, dict[str, Point]]:
     """Policy maximizing w . E[total reward], by policy iteration.
 
@@ -283,14 +273,12 @@ def optimal_policy(
         full_actions = {
             s.id: s.successors for s in mdp.states if s.kind is Kind.P1
         }
-        return _policy_iterate(
-            evaluate, w, full_actions, _initial_policy(mdp), history
-        )
+        return _policy_iterate(evaluate, w, full_actions, _initial_policy(mdp))
     if w[0] != 0 and w[1] != 0:
         raise BadDirection(
             "lexicographic tie-breaking is defined for axis-aligned directions"
         )
-    return _optimal_vertex(mdp, evaluate, w, history)
+    return _optimal_vertex(mdp, evaluate, w)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paretogames import Frontier, fixture_game, value_iterate
+from paretogames import Frontier, Game, fixture_game, make_game, value_iterate
 
 # Exact fixpoint family of the bundled heating game, computed by hand from
 # the curve equations (each entry is the canonical vertex list).
@@ -37,6 +37,29 @@ FIG3_EXACT: dict[str, list[tuple[F, F]]] = {
 
 def frontier_of(points: list[tuple[F, F]]) -> Frontier:
     return Frontier(tuple(points))
+
+
+def three_successor_game() -> tuple[Game, dict[str, list[tuple[F, F]]]]:
+    """A Player-1 state ``a`` with three successors, which the solvers do
+    not accept, and curves that ignore the dominating successor ``d``."""
+    g = make_game(
+        "a",
+        [
+            ("a", "p1", (0, 0), [("b", 1), ("c", 1), ("d", 1)]),
+            ("b", "p2", (1, 0), [("t", 1)]),
+            ("c", "p2", (0, 1), [("t", 1)]),
+            ("d", "p2", (2, 2), [("t", 1)]),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    curves = {
+        "a": [(F(0), F(1)), (F(1), F(0))],
+        "b": [(F(1), F(0))],
+        "c": [(F(0), F(1))],
+        "d": [(F(2), F(2))],
+        "t": [(F(0), F(0))],
+    }
+    return g, curves
 
 
 @pytest.fixture(scope="session")

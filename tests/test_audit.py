@@ -7,8 +7,9 @@ from itertools import islice
 
 import pytest
 
-from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of
+from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of, three_successor_game
 from paretogames import (
+    AuditFinding,
     RelationMismatch,
     audit_chance,
     audit_frontier,
@@ -18,6 +19,7 @@ from paretogames import (
     canonicalize,
     iterates,
     translate,
+    validate_game,
     value_iterate,
     weighted_sum,
 )
@@ -231,6 +233,19 @@ def test_missing_curve_is_reported(fig3):
     rep = audit_game(fig3, fam)
     assert not rep.ok
     assert any("missing" in f.check for f in rep.findings)
+
+
+def test_invalid_game_fails_before_any_relation_check():
+    g, pts = three_successor_game()
+    rep = audit_game(g, {sid: frontier_of(v) for sid, v in pts.items()})
+    assert validate_game(g).violations == ("a: more than 2 successors (3)",)
+    assert not rep.ok
+    assert rep.findings == (
+        AuditFinding("", "invalid game", "a: more than 2 successors (3)"),
+    )
+    assert rep.to_text() == (
+        "FAIL (1 checks)\n  invalid game: a: more than 2 successors (3)"
+    )
 
 
 def test_random_iterate_pairs_audit_clean_smoke():

@@ -8,6 +8,7 @@ the bound — kept as an error-path regression.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import paretogames.betting as betting
 from paretogames import (
     ADAM_FACTORIES,
     AdamCheated,
@@ -90,6 +92,26 @@ def test_json_round_trip():
 def test_malformed_json_rejected():
     with pytest.raises(InvalidBettingGame):
         betting_from_json({"states": []})
+
+
+@pytest.mark.parametrize(
+    "weight, credit, detail",
+    [
+        ("1/0", "0", "zero denominator in '1/0'"),
+        (
+            "1/2",
+            0.5,
+            "float coordinates are not accepted; pass Fraction, int, or 'p/q' string",
+        ),
+    ],
+)
+def test_malformed_json_names_the_fault(weight, credit, detail):
+    data = betting_to_json(tiny_arena())
+    data["states"][0]["transitions"][0]["weight"] = weight
+    data["initial"]["credit"] = credit
+    with pytest.raises(InvalidBettingGame) as info:
+        betting_from_json(data)
+    assert str(info.value) == f"malformed betting game: {detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +319,58 @@ def test_trace_csv_shape():
     lines = trace_to_csv(tr).strip().splitlines()
     assert lines[0] == "step,vertex,credit,potential"
     assert len(lines) == len(tr.steps) + 1
+
+
+def test_simulate_validates_the_arena_once(monkeypatch):
+    calls = []
+    real = betting.validate_betting
+
+    def counting(bg):
+        calls.append(bg)
+        return real(bg)
+
+    monkeypatch.setattr(betting, "validate_betting", counting)
+    simulate(tiny_arena(), {"t1", "t2"}, 100, EqualSplitAdam())
+    assert len(calls) == 1
+
+
+def test_simulate_rejects_an_arena_without_edges_before_reading_w():
+    bg = BettingGame((BetVertex("a", "eve", ()),), BettingConfig("a", F(0)))
+    with pytest.raises(
+        InvalidBettingGame,
+        match=r"^invalid betting game: a: needs exactly two outgoing edges$",
+    ):
+        simulate(bg, {"a"}, 100, EqualSplitAdam())
+    with pytest.raises(ValueError):
+        bg.min_weight
+
+
+def _play_record(bg, targets, adam) -> str:
+    try:
+        tr = simulate(bg, targets, 100, adam)
+    except StepBoundExceeded as exc:
+        return f"StepBoundExceeded: {exc}\n"
+    return f"{tr.end} {tr.reached_target} {tr.step_bound}\n" + trace_to_csv(tr)
+
+
+# SHA-256 over every play of 40 random arenas against each adversary, with
+# the arena's start credit; from a positive credit some plays end in
+# StepBoundExceeded, whose message is part of the record.
+TRACE_DIGESTS = {
+    F(0): "e55ca4ccef723230fe333a5d13012e128b4b4980c4d92d4700c532a5cb5b82a5",
+    F(1, 2): "1621a40f81064e2020bb97e6296dda7fcba72d079969e223a0f8e93671c9868d",
+}
+
+
+@pytest.mark.parametrize("credit", sorted(TRACE_DIGESTS))
+def test_traces_are_pinned(credit):
+    digest = hashlib.sha256()
+    for seed in range(40):
+        bg, targets = random_betting_game(random.Random(seed), credit)
+        for name, factory in sorted(ADAM_FACTORIES.items()):
+            record = _play_record(bg, targets, factory(seed))
+            digest.update(f"{seed} {name}\n{record}".encode())
+    assert digest.hexdigest() == TRACE_DIGESTS[credit]
 
 
 # ---------------------------------------------------------------------------

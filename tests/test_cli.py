@@ -7,14 +7,17 @@ from fractions import Fraction as F
 import pytest
 
 from paretogames import (
+    Frontier,
     Game,
     Kind,
     StateRecord,
+    frontier_to_csv,
     save_betting,
     save_game,
     value_iterate,
 )
 from paretogames.cli import main
+from conftest import three_successor_game
 from randgen import random_betting_game, random_stopping_game
 import random
 
@@ -402,6 +405,19 @@ def test_audit_catches_corruption(heating_path, tmp_path, capsys):
         capsys, "audit", heating_path, "--curves", str(out_dir)
     )
     assert code == 1 and out.startswith("FAIL") and "CC1" in out
+
+
+def test_audit_rejects_an_invalid_game(tmp_path, capsys):
+    g, pts = three_successor_game()
+    path = tmp_path / "three.json"
+    save_game(g, path)
+    out_dir = tmp_path / "curves"
+    out_dir.mkdir()
+    for sid, verts in pts.items():
+        (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(tuple(verts))))
+    code, out, _ = run(capsys, "audit", str(path), "--curves", str(out_dir))
+    assert code == 1
+    assert out == "FAIL (1 checks)\n  invalid game: a: more than 2 successors (3)\n"
 
 
 # ---------------------------------------------------------------------------

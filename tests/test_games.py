@@ -18,6 +18,7 @@ from paretogames import (
     game_from_json,
     game_to_json,
     load_game,
+    make_game,
     normalize,
     policy_evaluate,
     require_valid,
@@ -282,6 +283,42 @@ def test_json_round_trip(heating, fig3, tmp_path):
         p = tmp_path / "g.json"
         save_game(g, p)
         assert load_game(p) == g
+
+
+def _one_state_json(kind: str = "p1", prob=1) -> dict:
+    return {
+        "initial": "a",
+        "states": [
+            {
+                "id": "a",
+                "kind": kind,
+                "reward": [0, 0],
+                "transitions": [{"to": "a", "prob": prob}],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        (_one_state_json(kind="bogus"), "'bogus' is not a valid Kind"),
+        (
+            _one_state_json(prob=0.5),
+            "float coordinates are not accepted; pass Fraction, int, or 'p/q' string",
+        ),
+        (_one_state_json(prob="1/0"), "zero denominator in '1/0'"),
+    ],
+)
+def test_malformed_game_json_names_the_fault(data, detail):
+    with pytest.raises(InvalidGame) as info:
+        game_from_json(data)
+    assert str(info.value) == f"malformed game description: {detail}"
+
+
+def test_make_game_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match=r"^'bogus' is not a valid Kind$"):
+        make_game("a", [("a", "bogus", (0, 0), [("a", 1)])])
 
 
 def test_validate_after_normalize_round_trips_random_games(tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import paretogames.mdp as mdp_module
 from paretogames import (
     BadDirection,
     Game,
@@ -213,13 +214,28 @@ def test_optimal_policy_requires_stopping():
         optimal_policy(g, (F(1), F(1)))
 
 
-def test_policy_iteration_never_revisits():
+def test_policy_iteration_never_revisits(monkeypatch):
+    # Each round of policy iteration evaluates its policy once, so the
+    # policies handed to the evaluator are the rounds' policies.
+    history: list[dict[str, str]] = []
+    real = mdp_module._memo_evaluate
+
+    def recording(process):
+        evaluate = real(process)
+
+        def record(pol):
+            history.append(dict(pol))
+            return evaluate(pol)
+
+        return record
+
+    monkeypatch.setattr(mdp_module, "_memo_evaluate", recording)
     for seed in range(40):
         mdp = random_stopping_mdp(seed)
         rng = random.Random(seed)
         w = random_positive_direction(rng)
-        history: list[dict[str, str]] = []
-        optimal_policy(mdp, w, history=history)
+        history.clear()
+        optimal_policy(mdp, w)
         frozen = [tuple(sorted(p.items())) for p in history]
         assert len(frozen) == len(set(frozen))
 
