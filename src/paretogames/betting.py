@@ -17,9 +17,10 @@ Eve vertices because the best successor beats the weight-average, at Adam
 vertices because every successor strictly descends a — which yields the
 step-bounded reachability guarantee that the simulator checks per step.
 
-W is derived once per arena and cached on it; ``potential`` alone evaluates
-p, and ``_step_gain`` alone the gain per step.  A play validates its arena
-once, in ``attractor``, before any other work, and then trusts it.
+W and its powers W^0 ... W^|V| are derived once per arena and cached on
+it; ``potential`` alone evaluates p, and ``_step_gain`` alone the gain per
+step.  A play validates its arena once, in ``attractor``, before any other
+work, and then trusts it.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ class BettingGame:
     @cached_property
     def min_weight(self) -> Fraction:
         return min(w for v in self.vertices for _, w in v.edges)
+
+    @cached_property
+    def _w_powers(self) -> tuple[Fraction, ...]:
+        """W^0, W^1, ..., W^|V|."""
+        w = self.min_weight
+        return tuple(w**k for k in range(len(self.vertices) + 1))
 
 
 def validate_betting(bg: BettingGame) -> tuple[str, ...]:
@@ -200,8 +207,8 @@ def potential(bg: BettingGame, attr: AttractorResult, config: BettingConfig) -> 
     """p(v, c) = c + W^a(v) - W^|V| (requires v in the winning set)."""
     if config.vertex not in attr.a:
         raise NotWinningVertex(f"{config.vertex} is outside the winning set")
-    w = bg.min_weight
-    return config.credit + w ** attr.a[config.vertex] - w ** len(bg.vertices)
+    powers = bg._w_powers
+    return config.credit + powers[attr.a[config.vertex]] - powers[-1]
 
 
 def _check_valuation(
@@ -416,13 +423,12 @@ class Trace:
 
 def _step_gain(bg: BettingGame) -> Fraction:
     """W^|V| - W^(|V|+1): the least potential increase per non-target step."""
-    return bg.min_weight ** len(bg.vertices) * (1 - bg.min_weight)
+    return bg._w_powers[-1] * (1 - bg.min_weight)
 
 
 def step_bound(bg: BettingGame, B: RationalLike) -> int:
     """ceil((B + W^|V|) / (W^|V| - W^(|V|+1))), from the potential growth."""
-    w = bg.min_weight
-    return math.ceil((as_fraction(B) + w ** len(bg.vertices)) / _step_gain(bg))
+    return math.ceil((as_fraction(B) + bg._w_powers[-1]) / _step_gain(bg))
 
 
 def simulate(

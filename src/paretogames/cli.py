@@ -194,7 +194,10 @@ def _cmd_query(args) -> int:
     g = load_game(args.game)
     z = _parse_point(args.point)
     if args.mode == "determined":
-        curves = solve_determined(g)
+        determined, curves = check_determinacy(g)
+        if not determined:
+            print("not determined")
+            return NEGATIVE
         residual = Fraction(0)
     else:
         result = value_iterate(g, as_fraction(args.epsilon), args.max_iters)

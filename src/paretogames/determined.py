@@ -1,8 +1,10 @@
 """Exact curves for determined games by minimizer-strategy enumeration.
 
-Fixing each memoryless deterministic choice function for the minimizer
-leaves a maximizer-only process whose exact Pareto curves we can compute;
-folding the per-strategy curves with pointwise minimum yields the candidate
+Fixing each memoryless deterministic choice function sigma of the minimizer
+leaves a maximizer-only process whose exact Pareto curves we can compute.
+That process is never built: each sweep runs on the validated game itself,
+evaluating strategy profiles (sigma together with a maximizer policy).
+Folding the per-strategy curves with pointwise minimum yields the candidate
 family V.  In a stopping game the fixpoint of the curve operator is unique,
 so V passes the fixpoint check iff the game is determined — and then V *is*
 the family of true Pareto curves.
@@ -16,7 +18,7 @@ from typing import Iterator
 from .bellman import CurveMap, check_fixpoint
 from .frontier import intersect_min
 from .games import Game, Kind, require_stopping, require_valid
-from .mdp import MDStrategy, _pareto_curves, induce_mdp
+from .mdp import MDStrategy, _pareto_curves
 
 
 def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
@@ -34,17 +36,14 @@ def solve_determined(g: Game) -> CurveMap:
     per-strategy curve at s.  Exact; equals the true Pareto curves whenever
     the game is determined.
 
-    Each strategy's induced process gets one weight sweep shared by all of
-    its states (``mdp_pareto_curves``), folded into the running minimum as
-    soon as it is computed."""
+    Each strategy gets one weight sweep on g, shared by all of its states
+    (``mdp_pareto_curves`` without building the process), folded into the
+    running minimum as soon as it is computed."""
     require_stopping(g, "strategy enumeration requires a stopping game")
     curves: CurveMap = {}
     for sigma in enumerate_md_strategies(g):
-        # No check per process: fixing sigma turns each Player-2 state into a
-        # one-successor chance state (still valid), and a set of states closed
-        # in the process is closed in g (sigma(s) in the set is a successor in
-        # it), so a stopping g yields only stopping processes.
-        nxt = _pareto_curves(induce_mdp(g, sigma))
+        # g is stopping, so every profile reaches a terminal.
+        nxt = _pareto_curves(g, sigma)
         curves = (
             {sid: intersect_min(curves[sid], nxt[sid]) for sid in curves}
             if curves

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DeltaOutOfRange, InvalidGame, NotStopping, UnknownState
@@ -71,6 +72,12 @@ class Game:
     @property
     def state_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.states)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """The structural violations under the default successor cap, found
+        once per game; ``validate_game`` and ``require_valid`` read them."""
+        return tuple(_collect_violations(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Game):
@@ -150,13 +157,17 @@ def _collect_violations(g: Game, max_successors: int | None = 2) -> list[str]:
 
 def validate_game(g: Game) -> ValidationReport:
     """Structural validation; report-valued, never raises."""
-    violations = tuple(_collect_violations(g))
+    violations = g._violations
     return ValidationReport(ok=not violations, violations=violations)
 
 
 def require_valid(g: Game, max_successors: int | None = 2) -> None:
     """Raise InvalidGame when g violates the structural invariants."""
-    violations = tuple(_collect_violations(g, max_successors))
+    violations = (
+        g._violations
+        if max_successors == 2
+        else tuple(_collect_violations(g, max_successors))
+    )
     if violations:
         raise InvalidGame(
             "invalid game: " + "; ".join(violations), violations=violations

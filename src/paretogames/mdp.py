@@ -1,15 +1,26 @@
 """Exact Pareto curves for one-player stochastic decision processes.
 
 Fixing the minimizer's choices in a game leaves a maximizer-only process
-("MDP" below).  This module evaluates memoryless deterministic policies by
-exact rational linear solves, finds scalarized-optimal policies by policy
-iteration, and enumerates the exact Pareto frontier at a state by dichotomic
-weight refinement: expose the two lexicographic extreme vertices, then
-recursively probe each candidate edge with its facet-normal direction until
-every edge is confirmed.  One sweep serves every state of a process, since
-each direction's optimal policy is optimal from all states at once.  Every
-returned vertex is realized by a concrete policy, so the frontier is
-achievable by construction.
+("MDP" below).  The solvers work on a game g with a fixed minimizer
+strategy sigma instead of building that process: a strategy profile, sigma
+together with a maximizer policy, sends every controlled state to one
+successor.  The public functions take a process and pass its forced
+Player-2 moves as sigma.  Profiles are evaluated by exact rational linear
+solves, scalarized-optimal policies are found by policy iteration, and the
+exact Pareto frontier at a state is enumerated by dichotomic weight
+refinement: expose the two lexicographic extreme vertices, then recursively
+probe each candidate edge with its facet-normal direction until every edge
+is confirmed.  One sweep serves every state, since each direction's optimal
+policy is optimal from all states at once.  Every returned vertex is
+realized by a concrete policy, so the frontier is achievable by
+construction.
+
+Each probed direction w gets one policy-iteration loop that ranks
+successors by (w . v, u . v) lexicographically, u the other axis.  For
+every small enough eps > 0 this is policy iteration for w + eps*u, so it
+stops at a policy that maximizes w . v and, among those, u . v.  The value
+of that optimum is unique: two such policies agree on w . v and u . v, and
+w and u are linearly independent.
 """
 
 from __future__ import annotations
@@ -56,7 +67,9 @@ def induce_mdp(g: Game, sigma: Mapping[str, str]) -> Game:
     return Game(g.initial, tuple(out))
 
 
-def _require_no_p2_choice(mdp: Game) -> None:
+def _forced_moves(mdp: Game) -> MDStrategy:
+    """The minimizer strategy of a process: each Player-2 state's only
+    successor."""
     bad = [
         s.id
         for s in mdp.states
@@ -67,6 +80,7 @@ def _require_no_p2_choice(mdp: Game) -> None:
             f"process has Player-2 choice at {bad}; fix a strategy first",
             violations=tuple(bad),
         )
+    return {s.id: s.successors[0] for s in mdp.states if s.kind is Kind.P2}
 
 
 def _policy_domain(mdp: Game) -> set[str]:
@@ -117,14 +131,16 @@ def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
     exactly; a singular system means the policy's chain keeps some states
     away from the terminals forever."""
     require_valid(mdp)
-    _require_no_p2_choice(mdp)
+    sigma = _forced_moves(mdp)
     _require_policy(mdp, pol)
-    return _policy_values(mdp, pol)
+    return _policy_values(mdp, {**sigma, **pol})
 
 
-def _policy_values(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
-    """``policy_evaluate`` on a process and a policy already known valid."""
-    non_term = [s for s in mdp.states if s.kind is not Kind.TERMINAL]
+def _policy_values(g: Game, choice: Mapping[str, str]) -> dict[str, Point]:
+    """``policy_evaluate`` of the strategy profile ``choice``, which sends
+    every controlled state of g to one of its successors; both already
+    known valid."""
+    non_term = [s for s in g.states if s.kind is not Kind.TERMINAL]
     index = {s.id: i for i, s in enumerate(non_term)}
     n = len(non_term)
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -134,10 +150,8 @@ def _policy_values(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
         rows[i][i] += 1
         if s.kind is Kind.CHANCE:
             moves: Sequence[tuple[str, Fraction]] = s.transitions
-        elif s.kind is Kind.P1:
-            moves = ((pol[s.id], Fraction(1)),)
-        else:  # single-choice Player-2
-            moves = ((s.successors[0], Fraction(1)),)
+        else:
+            moves = ((choice[s.id], Fraction(1)),)
         for t, p in moves:
             j = index.get(t)
             if j is not None:
@@ -151,7 +165,7 @@ def _policy_values(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
         s.id: (solution[index[s.id]][0], solution[index[s.id]][1])
         for s in non_term
     }
-    for s in mdp.states:
+    for s in g.states:
         if s.kind is Kind.TERMINAL:
             values[s.id] = (Fraction(0), Fraction(0))
     return values
@@ -164,29 +178,24 @@ def _policy_values(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
 _Evaluator = Callable[[MDPolicy], dict[str, Point]]
 
 
-def _memo_evaluate(mdp: Game) -> _Evaluator:
-    """policy_evaluate on one process, each distinct policy solved once.
+def _memo_evaluate(g: Game, sigma: Mapping[str, str]) -> _Evaluator:
+    """Values of g under sigma and a maximizer policy, each distinct policy
+    solved once.
 
-    The memo lives as long as the returned function, i.e. one public call,
-    which has validated the process; policy iteration only builds policies
-    that choose a successor at every Player-1 state, so neither is checked
-    again."""
+    The memo lives as long as the returned function (one sweep, or one
+    ``optimal_policy`` call), whose caller has validated g and sigma; policy
+    iteration only builds policies that choose a successor at every
+    Player-1 state, so neither is checked again."""
     memo: dict[tuple[tuple[str, str], ...], dict[str, Point]] = {}
 
     def evaluate(pol: MDPolicy) -> dict[str, Point]:
         key = tuple(sorted(pol.items()))
         values = memo.get(key)
         if values is None:
-            values = memo[key] = _policy_values(mdp, pol)
+            values = memo[key] = _policy_values(g, {**sigma, **pol})
         return values
 
     return evaluate
-
-
-def _initial_policy(mdp: Game) -> MDPolicy:
-    return {
-        s.id: s.successors[0] for s in mdp.states if s.kind is Kind.P1
-    }
 
 
 def _dot(w: Point, v: Point) -> Fraction:
@@ -194,26 +203,27 @@ def _dot(w: Point, v: Point) -> Fraction:
 
 
 def _policy_iterate(
-    evaluate: _Evaluator,
-    direction: Point,
-    actions: Mapping[str, tuple[str, ...]],
-    pol: MDPolicy,
+    g: Game, evaluate: _Evaluator, directions: Sequence[Point]
 ) -> tuple[MDPolicy, dict[str, Point]]:
-    """Greedy policy iteration maximizing direction . v within the allowed
-    action sets; returns the stable policy and its exact values."""
-    pol = dict(pol)
+    """Greedy policy iteration from the first-successor policy, ranking
+    successors by their values' dot products with ``directions``, compared
+    lexicographically; returns the stable policy and its exact values.
+
+    Ranking by (w, u) is policy iteration for w + eps*u for every small
+    enough eps > 0, as only finitely many comparisons occur, so the loop
+    stops at a policy that maximizes w . v and, among those, u . v from
+    every state.  With w and u linearly independent the value of that
+    optimum is unique, since w . v and u . v determine v."""
+    choices = {s.id: s.successors for s in g.states if s.kind is Kind.P1}
+    pol = {sid: succ[0] for sid, succ in choices.items()}
     while True:
         values = evaluate(pol)
         improved = False
-        for sid, choices in actions.items():
-            current = _dot(direction, values[pol[sid]])
-            best_choice, best = pol[sid], current
-            for t in choices:
-                cand = _dot(direction, values[t])
-                if cand > best:
-                    best_choice, best = t, cand
-            if best > current:
-                pol[sid] = best_choice
+        for sid, succ in choices.items():
+            rank = {t: tuple(_dot(d, values[t]) for d in directions) for t in succ}
+            best = max(succ, key=rank.__getitem__)
+            if rank[best] > rank[pol[sid]]:
+                pol[sid] = best
                 improved = True
         if not improved:
             return pol, values
@@ -226,32 +236,6 @@ def _secondary_axis(w: Point) -> Point:
     return (Fraction(1), Fraction(0))
 
 
-def _optimal_vertex(
-    mdp: Game,
-    evaluate: _Evaluator,
-    w: Point,
-) -> tuple[MDPolicy, dict[str, Point]]:
-    """Maximize w . v, then break ties toward a vertex of the optimal face
-    by a second, restricted policy-iteration pass along an axis."""
-    full_actions = {
-        s.id: s.successors for s in mdp.states if s.kind is Kind.P1
-    }
-    pol, values = _policy_iterate(evaluate, w, full_actions, _initial_policy(mdp))
-    # restrict every state to its primary-optimal actions; any policy inside
-    # this restriction attains the same primary value (the restricted
-    # operator has the primary value as its unique fixed point)
-    tight_actions = {
-        sid: tuple(
-            t
-            for t in choices
-            if _dot(w, values[t]) == _dot(w, values[pol[sid]])
-        )
-        for sid, choices in full_actions.items()
-    }
-    pol2, values2 = _policy_iterate(evaluate, _secondary_axis(w), tight_actions, pol)
-    return pol2, values2
-
-
 def optimal_policy(
     mdp: Game,
     w: Sequence[RationalLike],
@@ -262,41 +246,37 @@ def optimal_policy(
     With ``lexicographic`` set (axis-aligned w only), ties in the primary
     objective are broken by maximizing the other reward component among
     primary-optimal actions."""
-    _require_stopping_process(
-        mdp, "optimal_policy requires a stopping process"
-    )
+    sigma = _checked_process(mdp, "optimal_policy requires a stopping process")
     w = as_point(w)
     if w[0] < 0 or w[1] < 0 or w == (0, 0):
         raise BadDirection(f"direction must be >= 0 and nonzero, got {w}")
-    evaluate = _memo_evaluate(mdp)
-    if not lexicographic:
-        full_actions = {
-            s.id: s.successors for s in mdp.states if s.kind is Kind.P1
-        }
-        return _policy_iterate(evaluate, w, full_actions, _initial_policy(mdp))
-    if w[0] != 0 and w[1] != 0:
+    if lexicographic and w[0] != 0 and w[1] != 0:
         raise BadDirection(
             "lexicographic tie-breaking is defined for axis-aligned directions"
         )
-    return _optimal_vertex(mdp, evaluate, w)
+    directions = (w, _secondary_axis(w)) if lexicographic else (w,)
+    return _policy_iterate(mdp, _memo_evaluate(mdp, sigma), directions)
 
 
 # ---------------------------------------------------------------------------
 # Pareto curves by dichotomic refinement
 
 
-def _require_stopping_process(
+def _checked_process(
     mdp: Game, message: str = "pareto curve requires a stopping process"
-) -> None:
+) -> MDStrategy:
+    """Validate a stopping process; returns its forced Player-2 moves."""
     require_valid(mdp)
-    _require_no_p2_choice(mdp)
+    sigma = _forced_moves(mdp)
     require_stopping(mdp, message)
+    return sigma
 
 
 def _pareto_witnesses(
-    mdp: Game, states: Iterable[str]
+    g: Game, sigma: Mapping[str, str], states: Iterable[str]
 ) -> dict[str, dict[Point, MDPolicy]]:
-    """Frontier vertex -> realizing policy, at each of the states.
+    """Frontier vertex -> realizing policy, at each of the states of the
+    process that sigma leaves of g.
 
     Finds the two lexicographic extreme vertices, then refines each edge
     (A, B) with the facet normal (A_y - B_y, B_x - A_x): when the optimum in
@@ -308,12 +288,12 @@ def _pareto_witnesses(
     iteration runs once for all states, and each distinct policy is
     evaluated once; the optimum is a deterministic function of the
     direction, so sharing changes no result."""
-    evaluate = _memo_evaluate(mdp)
+    evaluate = _memo_evaluate(g, sigma)
     optima: dict[Point, tuple[MDPolicy, dict[str, Point]]] = {}
 
     def optimum(w: Point) -> tuple[MDPolicy, dict[str, Point]]:
         if w not in optima:
-            optima[w] = _optimal_vertex(mdp, evaluate, w)
+            optima[w] = _policy_iterate(g, evaluate, (w, _secondary_axis(w)))
         return optima[w]
 
     one = Fraction(1)
@@ -349,16 +329,15 @@ def mdp_pareto_curves(mdp: Game) -> dict[str, Frontier]:
     validated and checked for stopping once, each probed direction's
     optimal policy is computed once, and each distinct policy is evaluated
     once.  Each curve equals ``mdp_pareto_curve(mdp, s)``."""
-    _require_stopping_process(mdp)
-    return _pareto_curves(mdp)
+    return _pareto_curves(mdp, _checked_process(mdp))
 
 
-def _pareto_curves(mdp: Game) -> dict[str, Frontier]:
-    """``mdp_pareto_curves`` of a process already known to be a valid
-    stopping process without Player-2 choice."""
+def _pareto_curves(g: Game, sigma: Mapping[str, str]) -> dict[str, Frontier]:
+    """``mdp_pareto_curves`` of the process that sigma leaves of g, for a
+    valid stopping g and a total minimizer strategy sigma."""
     return {
         s: canonicalize(list(witnesses))
-        for s, witnesses in _pareto_witnesses(mdp, mdp.state_ids).items()
+        for s, witnesses in _pareto_witnesses(g, sigma, g.state_ids).items()
     }
 
 
@@ -375,9 +354,9 @@ def mdp_pareto_curve(
     edge until each is confirmed, every direction's policy iteration run
     once.  With ``with_witnesses`` set, also returns one realizing policy
     per frontier vertex."""
-    _require_stopping_process(mdp)
+    sigma = _checked_process(mdp)
     mdp.state(s)
-    witnesses = _pareto_witnesses(mdp, (s,))[s]
+    witnesses = _pareto_witnesses(mdp, sigma, (s,))[s]
     frontier = canonicalize(list(witnesses))
     if not with_witnesses:
         return frontier

@@ -1,6 +1,7 @@
 """Exact game solving by minimizer-strategy enumeration."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -132,6 +133,26 @@ def test_game_checked_once_and_processes_trusted(heating, monkeypatch):
     assert calls == {"check_stopping": 1, "policy_evaluate": 0}
 
 
+def test_strategies_share_the_validated_game(heating, monkeypatch):
+    import paretogames.determined as determined_module
+    import paretogames.mdp as mdp_module
+
+    calls = []
+    original = mdp_module.induce_mdp
+
+    def counting(g, sigma):
+        calls.append(sigma)
+        return original(g, sigma)
+
+    for module in (mdp_module, determined_module):
+        if hasattr(module, "induce_mdp"):
+            monkeypatch.setattr(module, "induce_mdp", counting)
+    v = solve_determined(heating)
+    for sid, pts in HEATING_EXACT.items():
+        assert v[sid] == frontier_of(pts)
+    assert calls == []
+
+
 def test_solve_requires_stopping():
     g = Game(
         "a",
@@ -193,3 +214,17 @@ def test_vi_within_residual_of_enumeration_when_determined():
             for x, y in v[sid].vertices:
                 assert contains(res.curves[sid], (x - r, y - r))
     assert checked > 0
+
+
+def test_determinacy_verdicts_and_curves_are_pinned(heating, fig3):
+    # digest computed with one induced process per strategy
+    digest = hashlib.sha256()
+    games = [heating, fig3] + [random_stopping_game(seed) for seed in range(200)]
+    for g in games:
+        ok, curves = check_determinacy(g)
+        digest.update(
+            repr((ok, [(sid, f.vertices) for sid, f in curves.items()])).encode()
+        )
+    assert digest.hexdigest() == (
+        "17bbc34b030e1b83adda075a3e54682260c1e32ce04e9cdcf600941e5f6c2b08"
+    )

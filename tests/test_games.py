@@ -13,12 +13,15 @@ from paretogames import (
     Kind,
     StateRecord,
     UnknownState,
+    check_determinacy,
     check_stopping,
     discount_transform,
     game_from_json,
     game_to_json,
+    induce_mdp,
     load_game,
     make_game,
+    mdp_pareto_curves,
     normalize,
     policy_evaluate,
     require_valid,
@@ -79,6 +82,34 @@ def test_require_valid_raises():
     g = Game("missing", (term("t"),))
     with pytest.raises(InvalidGame):
         require_valid(g)
+
+
+def _fresh(g: Game) -> Game:
+    return Game(g.initial, g.states)
+
+
+@pytest.mark.parametrize(
+    "case", ["value_iterate", "check_determinacy", "mdp_pareto_curves"]
+)
+def test_structural_check_runs_once_per_game(heating, fig3, case, monkeypatch):
+    import paretogames.games as games_module
+
+    process = induce_mdp(heating, {"HC2": "HC1", "CH2": "CH1", "D1": "HH1"})
+    solve = {
+        "value_iterate": lambda: value_iterate(_fresh(fig3), F(1, 1000), 5),
+        "check_determinacy": lambda: check_determinacy(_fresh(heating)),
+        "mdp_pareto_curves": lambda: mdp_pareto_curves(process),
+    }[case]
+    checked: list[Game] = []
+    original = games_module._collect_violations
+
+    def counting(g, max_successors=2):
+        checked.append(g)
+        return original(g, max_successors)
+
+    monkeypatch.setattr(games_module, "_collect_violations", counting)
+    solve()
+    assert len(checked) == 1
 
 
 def test_unknown_state_lookup(fig3):

@@ -2,6 +2,7 @@
 iteration, and the dichotomic Pareto-curve enumeration."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -220,8 +221,8 @@ def test_policy_iteration_never_revisits(monkeypatch):
     history: list[dict[str, str]] = []
     real = mdp_module._memo_evaluate
 
-    def recording(process):
-        evaluate = real(process)
+    def recording(process, sigma):
+        evaluate = real(process, sigma)
 
         def record(pol):
             history.append(dict(pol))
@@ -328,3 +329,61 @@ def test_pareto_requires_stopping():
         mdp_pareto_curve(g, "a")
     with pytest.raises(NotStopping):
         mdp_pareto_curves(g)
+
+
+# ---------------------------------------------------------------------------
+# Pinned results (digests computed with the two-pass policy iteration that
+# built one induced process per strategy)
+
+
+def _pinned_processes():
+    for seed in range(60):
+        yield random_stopping_mdp(seed)
+    for seed in range(20):
+        g = random_stopping_game(seed)
+        for sigma in enumerate_md_strategies(g):
+            yield induce_mdp(g, sigma)
+
+
+def _sha256(parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
+def test_all_state_curves_are_pinned():
+    def parts():
+        for seed in range(100):
+            curves = mdp_pareto_curves(random_stopping_mdp(seed))
+            yield [(sid, f.vertices) for sid, f in curves.items()]
+
+    assert _sha256(parts()) == (
+        "feb4367e06c510e0c32ff149ec90b3a05015b48a1f99b0c3eb53dc5a23ff817e"
+    )
+
+
+def test_witness_maps_are_pinned():
+    def parts():
+        for mdp in _pinned_processes():
+            for sid in mdp.state_ids:
+                f, witnesses = mdp_pareto_curve(mdp, sid, with_witnesses=True)
+                yield sid, f.vertices, list(witnesses.items())
+
+    assert _sha256(parts()) == (
+        "9d3690bfec9af6ffcfe2989f5b10a50ec4fbee01159398dfb59bc9750e02c94e"
+    )
+
+
+def test_optimal_policies_are_pinned():
+    def parts():
+        for n, mdp in enumerate(_pinned_processes()):
+            rng = random.Random(n)
+            for _ in range(5):
+                yield optimal_policy(mdp, random_positive_direction(rng))
+            for axis in ((F(1), F(0)), (F(0), F(1))):
+                yield optimal_policy(mdp, axis, lexicographic=True)
+
+    assert _sha256(parts()) == (
+        "c4c8cbc65ca2121562aad14d9e59841cc061c6464ba324184d9db94d26793f70"
+    )
