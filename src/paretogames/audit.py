@@ -41,6 +41,7 @@ from .frontier import (
     slope_at,
     translate,
     weighted_sum,
+    _slopes,
     _vertices_of,
 )
 from .games import Game, Kind, validate_game
@@ -298,11 +299,6 @@ def audit_p2(
 # Chance relation: parent = weighted Minkowski sum
 
 
-def _finite_slopes(f: Frontier):
-    for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:]):
-        yield (y1 - y0) / (x1 - x0)
-
-
 def _interior_direction(
     p: Point, parent: Frontier, succ1: Frontier, succ2: Frontier
 ) -> Fraction:
@@ -314,9 +310,7 @@ def _interior_direction(
     l0, r0 = slope_at(parent, p[0])
     if r0 != MINUS_INFINITY:
         return (l0 + r0) / 2
-    finite = [
-        s for f in (parent, succ1, succ2) for s in _finite_slopes(f)
-    ]
+    finite = [s for f in (parent, succ1, succ2) for s in _slopes(f.vertices)]
     floor = min(finite) if finite else Fraction(0)
     return floor - 1
 

@@ -205,18 +205,25 @@ def value_iterate(
     (a) A sweep changes nothing: an exact fixpoint, also of the simultaneous
     operator, reported with ``residual_bound`` 0.  (b) For stopping games,
     the certified residual drops to ``epsilon`` or below.  The residual
-    after sweep n is min(tail_bound(g, n), tail_bound(g, 0) * max survival
-    probability at depth n), sound because n sweeps propagate information
-    at least n steps deep, so the returned curves differ from the true ones
-    by at most the expected reward collected after depth n.  (c)
-    ``max_iters`` sweeps ran (converged = False; for non-stopping games the
-    result is then only an iterate, not the least fixpoint).
+    after sweep n is tail_bound(g, 0) * A_n, with A_n the largest
+    worst-case probability of surviving n steps; it is sound because n
+    sweeps propagate information at least n steps deep, so the returned
+    curves differ from the true ones by at most the expected reward
+    collected after depth n.  (c) ``max_iters`` sweeps ran (converged =
+    False; for non-stopping games the result is then only an iterate, not
+    the least fixpoint).
+
+    The residual is never above tail_bound(g, n) = ceiling *
+    decay^floor(n/|S|).  Every state of a stopping game reaches a terminal
+    within |S| steps with probability at least p_min^|S| whatever both
+    players do (its rank in the stopping attractor is below |S|), so
+    A_|S| <= 1 - p_min^|S| = decay.  Survival is submultiplicative,
+    A_(m+n) <= A_m * A_n, hence A_n <= decay^floor(n/|S|).
 
     ``residuals`` holds that residual for every sweep that ran, the
     fixpoint sweep included (it is empty for non-stopping games).  The
-    game is checked for stopping once, and the constants of the rule come
-    once from the helper behind ``tail_bound``: tail_bound(g, n) =
-    ceiling * decay^floor(n/|S|) exactly.
+    game is checked for stopping once, and ceiling = tail_bound(g, 0)
+    comes once from the helper behind ``tail_bound``.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
@@ -225,8 +232,7 @@ def value_iterate(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     stopping = check_stopping(g).stopping
     if stopping:
-        ceiling, decay = _tail_terms(g)
-    size = len(g.states)
+        ceiling, _ = _tail_terms(g)
     alive: dict[str, Fraction] = {
         s.id: Fraction(0 if s.kind is Kind.TERMINAL else 1) for s in g.states
     }
@@ -239,12 +245,7 @@ def value_iterate(
         curves = nxt
         if stopping:
             alive = _alive_step(g, alive)
-            residuals.append(
-                min(
-                    ceiling * decay ** (n // size),
-                    ceiling * max(alive.values(), default=Fraction(0)),
-                )
-            )
+            residuals.append(ceiling * max(alive.values(), default=Fraction(0)))
         if fixpoint or (stopping and residuals[-1] <= epsilon):
             return IterationResult(
                 curves=curves,

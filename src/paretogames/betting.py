@@ -43,7 +43,7 @@ from .errors import (
     StepBoundExceeded,
     UnknownState,
 )
-from .frontier import RationalLike, as_fraction
+from .frontier import RationalLike, as_fraction, fraction_str
 
 
 class BetKind:
@@ -517,8 +517,7 @@ def trace_to_csv(trace: Trace) -> str:
     for s in trace.steps:
         lines.append(
             f"{s.step},{s.vertex},"
-            f"{s.credit.numerator}/{s.credit.denominator},"
-            f"{s.potential.numerator}/{s.potential.denominator}"
+            f"{fraction_str(s.credit)},{fraction_str(s.potential)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -531,18 +530,14 @@ def betting_to_json(bg: BettingGame) -> dict:
     return {
         "initial": {
             "vertex": bg.initial.vertex,
-            "credit": f"{bg.initial.credit.numerator}/{bg.initial.credit.denominator}",
+            "credit": fraction_str(bg.initial.credit),
         },
         "states": [
             {
                 "id": v.id,
                 "kind": v.kind,
                 "transitions": [
-                    {
-                        "to": t,
-                        "weight": f"{wt.numerator}/{wt.denominator}",
-                    }
-                    for t, wt in v.edges
+                    {"to": t, "weight": fraction_str(wt)} for t, wt in v.edges
                 ],
             }
             for v in bg.vertices

@@ -1,5 +1,9 @@
 """Command-line surface: load games, run solvers and checks, export curves.
 
+``solve-determined`` always checks its enumerated curves against the curve
+equations: it writes or prints them, then ends with ``determined: true`` (exit
+0) or ``determined: false`` (exit 1), so no curve leaves it uncertified.
+
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal
 limit reached (iteration cap without convergence, betting step bound or
@@ -22,7 +26,7 @@ from typing import Mapping
 from .audit import audit_game
 from .bellman import CurveMap, achievable_within, value_iterate
 from .betting import ADAM_FACTORIES, load_betting, simulate, trace_to_csv
-from .determined import check_determinacy, solve_determined
+from .determined import check_determinacy
 from .errors import (
     GameSolverError,
     HypothesisViolated,
@@ -34,6 +38,7 @@ from .errors import (
 from .frontier import (
     Frontier,
     as_fraction,
+    fraction_str,
     frontier_from_csv,
     frontier_to_csv,
     frontier_to_svg,
@@ -55,10 +60,6 @@ INTERNAL = 4
 
 _NEGATIVE_ERRORS = (NotStopping, NotStoppingUnderPolicy, HypothesisViolated)
 _LIMIT_ERRORS = (StepBoundExceeded,)
-
-
-def _pq(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _state_filename(sid: str, ext: str) -> str:
@@ -91,7 +92,9 @@ def _load_curves(dir_path: Path) -> CurveMap:
 
 def _print_curves(curves: Mapping[str, Frontier]) -> None:
     for sid in sorted(curves):
-        pts = " ".join(f"({_pq(x)},{_pq(y)})" for x, y in curves[sid].vertices)
+        pts = " ".join(
+            f"({fraction_str(x)},{fraction_str(y)})" for x, y in curves[sid].vertices
+        )
         print(f"{sid}: {pts}")
 
 
@@ -148,7 +151,9 @@ def _cmd_solve_vi(args) -> int:
     result = value_iterate(g, as_fraction(args.epsilon), args.max_iters)
     out_dir = Path(args.out_dir)
     manifest = _write_curves(result.curves, out_dir, args.svg)
-    bounds = [_pq(r) for r in result.residuals] or ["n/a"] * result.iterations
+    rb = result.residual_bound
+    bound = None if rb is None else fraction_str(rb)
+    bounds = [fraction_str(r) for r in result.residuals] or ["n/a"] * result.iterations
     (out_dir / "iterations.log").write_text(
         "\n".join(f"{n} residual_bound={b}" for n, b in enumerate(bounds, 1))
         + "\n"
@@ -159,35 +164,27 @@ def _cmd_solve_vi(args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "fixpoint_reached": result.fixpoint_reached,
-        "residual_bound": (
-            None if result.residual_bound is None else _pq(result.residual_bound)
-        ),
+        "residual_bound": bound,
         "note": result.note,
         "states": manifest,
     }
     (out_dir / "run.json").write_text(json.dumps(run, indent=2) + "\n")
-    bound = "n/a" if result.residual_bound is None else _pq(result.residual_bound)
     print(
         f"converged={str(result.converged).lower()} "
-        f"iterations={result.iterations} residual_bound={bound}"
+        f"iterations={result.iterations} residual_bound={bound or 'n/a'}"
     )
     return OK if result.converged else LIMIT
 
 
 def _cmd_solve_determined(args) -> int:
     g = load_game(args.game)
-    if args.check_determinacy:
-        determined, curves = check_determinacy(g)
-    else:
-        determined, curves = True, solve_determined(g)
+    determined, curves = check_determinacy(g)
     if args.out_dir:
         _write_curves(curves, Path(args.out_dir), args.svg)
     else:
         _print_curves(curves)
-    if args.check_determinacy:
-        print(f"determined: {str(determined).lower()}")
-        return OK if determined else NEGATIVE
-    return OK
+    print(f"determined: {str(determined).lower()}")
+    return OK if determined else NEGATIVE
 
 
 def _cmd_query(args) -> int:
@@ -231,7 +228,7 @@ def _cmd_betting_sim(args) -> int:
         trace = simulate(bg, targets, bound, adam)
         last = trace.steps[-1]
         print(
-            f"run {run}: end=({last.vertex},{_pq(last.credit)}) "
+            f"run {run}: end=({last.vertex},{fraction_str(last.credit)}) "
             f"steps={len(trace.steps) - 1} reason={trace.end}"
         )
         if out_dir:
@@ -295,11 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--out-dir")
     p.add_argument("--svg", action="store_true")
-    p.add_argument(
-        "--check-determinacy",
-        action="store_true",
-        help="verify the curves form a fixpoint and report the verdict",
-    )
+    # read by nothing: perfbench/workloads.py still passes it; drop both together
+    p.add_argument("--check-determinacy", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_solve_determined)
 
     p = sub.add_parser("query", help="is a point achievable from a state?")

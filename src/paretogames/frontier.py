@@ -64,6 +64,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def fraction_str(x: Fraction) -> str:
+    """The explicit ``"num/den"`` text that ``as_fraction`` reads back."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def as_point(pair: Sequence[RationalLike]) -> Point:
     if len(pair) != 2:
         raise TypeError(f"a point needs exactly two coordinates, got {pair!r}")
@@ -210,8 +215,7 @@ def evaluate(f: Frontier, x: RationalLike) -> Fraction | None:
             lo = mid
         else:
             hi = mid
-    (x0, y0), (x1, y1) = verts[lo], verts[hi]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return _height_before(verts, hi, x)
 
 
 def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, float]]:
@@ -265,7 +269,8 @@ def dwc_conv_union(f1: Frontier, f2: Frontier) -> Frontier:
 
 
 def _height_before(verts: tuple[Point, ...], k: int, x: Fraction) -> Fraction:
-    """F(x) for x strictly left of vertex k and right of vertex k-1."""
+    """F(x) for x in (x_{k-1}, x_k]: the interpolation on segment k-1 to k,
+    or y_0 when k is 0 (x at or left of the first vertex)."""
     if k == 0:
         return verts[0][1]
     (x0, y0), (x1, y1) = verts[k - 1], verts[k]
@@ -387,10 +392,7 @@ def extremal_points(f: Frontier) -> tuple[Point, ...]:
 
 def frontier_to_csv(f: Frontier) -> str:
     """One row per vertex, each coordinate as an explicit 'num/den' string."""
-    lines = [
-        f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
-        for x, y in f.vertices
-    ]
+    lines = [f"{fraction_str(x)},{fraction_str(y)}" for x, y in f.vertices]
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DeltaOutOfRange, InvalidGame, NotStopping, UnknownState
-from .frontier import Point, RationalLike, as_fraction, as_point
+from .frontier import Point, RationalLike, as_fraction, as_point, fraction_str
 
 
 class Kind(str, Enum):
@@ -389,21 +389,17 @@ def discount_transform(g: Game, delta: RationalLike) -> Game:
 # JSON serialization
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def game_to_json(g: Game) -> dict:
     states = []
     for s in g.states:
         rec: dict = {
             "id": s.id,
             "kind": s.kind.value,
-            "reward": [_frac_str(s.reward[0]), _frac_str(s.reward[1])],
+            "reward": [fraction_str(s.reward[0]), fraction_str(s.reward[1])],
         }
         if s.kind is Kind.CHANCE:
             rec["transitions"] = [
-                {"to": t, "prob": _frac_str(p)} for t, p in s.transitions
+                {"to": t, "prob": fraction_str(p)} for t, p in s.transitions
             ]
         else:
             rec["transitions"] = [{"to": t} for t, _ in s.transitions]

@@ -335,17 +335,60 @@ NOT_DETERMINED = {
 }
 
 
+def _nd_path(tmp_path):
+    game = tmp_path / "nd.json"
+    game.write_text(json.dumps(NOT_DETERMINED))
+    return str(game)
+
+
 @pytest.mark.parametrize(
     "mode, code, answer", [("determined", 1, "not determined"), ("vi", 0, "no")]
 )
 def test_query_on_a_non_determined_game(tmp_path, capsys, mode, code, answer):
-    game = tmp_path / "nd.json"
-    game.write_text(json.dumps(NOT_DETERMINED))
     got = run(
-        capsys, "query", str(game), "--state", "s0", "--point=-1/4,-2",
+        capsys, "query", _nd_path(tmp_path), "--state", "s0", "--point=-1/4,-2",
         "--mode", mode,
     )
     assert got[:2] == (code, answer + "\n")
+
+
+def test_solve_determined_always_reports_not_determined(tmp_path, capsys):
+    game = _nd_path(tmp_path)
+    code, out, _ = run(capsys, "solve-determined", game)
+    assert code == 1 and out.splitlines()[-1] == "determined: false"
+    out_dir = tmp_path / "nd"
+    code, out, _ = run(capsys, "solve-determined", game, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "determined: false\n")
+    written = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert written == sorted(s["id"] + ".csv" for s in NOT_DETERMINED["states"])
+
+
+def test_solve_determined_always_reports_determined(heating_path, capsys):
+    code, out, _ = run(capsys, "solve-determined", heating_path)
+    assert code == 0 and out.splitlines()[-1] == "determined: true"
+
+
+@pytest.mark.parametrize("name", ["heating", "not determined"])
+def test_check_determinacy_flag_changes_nothing(
+    name, heating_path, tmp_path, capsys
+):
+    game = heating_path if name == "heating" else _nd_path(tmp_path)
+    runs = []
+    for flag in ([], ["--check-determinacy"]):
+        out_dir = tmp_path / f"out{len(flag)}"
+        printed = run(capsys, "solve-determined", game, *flag)
+        written = run(
+            capsys, "solve-determined", game, *flag, "--out-dir", str(out_dir)
+        )
+        files = {p.name: p.read_text() for p in out_dir.iterdir()}
+        runs.append((printed, written, files))
+    assert runs[0] == runs[1]
+
+
+def test_check_determinacy_flag_is_not_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve-determined", "--help"])
+    assert "--check-determinacy" not in capsys.readouterr().out
 
 
 def test_query_unknown_state_is_input_error(fig3_path, capsys):
