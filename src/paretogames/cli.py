@@ -7,10 +7,11 @@ equations: it writes or prints them, then ends with ``determined: true`` (exit
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal
 limit reached (iteration cap without convergence, betting step bound or
-exhausted betting credit); 4 internal fault (a broken invariant, i.e. a bug
-in this package).  Every error exits through a single one-line,
-machine-parsable message on stderr: ``error: <ExceptionName>: <detail>``,
-or ``error: internal: InvariantBroken: <detail>`` for exit code 4.
+exhausted betting credit); 4 internal fault (a broken invariant or any
+other unexpected exception, i.e. a bug in this package).  Every error exits
+through a single one-line, machine-parsable message on stderr:
+``error: <ExceptionName>: <detail>``, or ``error: internal:
+<ExceptionName>: <detail>`` for exit code 4.
 """
 
 from __future__ import annotations
@@ -58,8 +59,14 @@ INPUT_ERROR = 2
 LIMIT = 3
 INTERNAL = 4
 
-_NEGATIVE_ERRORS = (NotStopping, NotStoppingUnderPolicy, HypothesisViolated)
-_LIMIT_ERRORS = (StepBoundExceeded,)
+# The first matching row gives the exit code; the last one catches package bugs.
+_EXIT_CODES = (
+    (StepBoundExceeded, LIMIT),
+    ((NotStopping, NotStoppingUnderPolicy, HypothesisViolated), NEGATIVE),
+    (InvariantBroken, INTERNAL),
+    ((GameSolverError, ValueError, TypeError, KeyError, OSError), INPUT_ERROR),
+    (Exception, INTERNAL),
+)
 
 
 def _state_filename(sid: str, ext: str) -> str:
@@ -327,18 +334,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _LIMIT_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return LIMIT
-    except _NEGATIVE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return NEGATIVE
-    except InvariantBroken as exc:
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL
-    except (GameSolverError, ValueError, TypeError, KeyError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    except Exception as exc:
+        code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+        tag = "internal: " if code == INTERNAL else ""
+        print(f"error: {tag}{type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

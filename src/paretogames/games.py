@@ -424,7 +424,7 @@ def game_from_json(data: Mapping) -> Game:
                 )
             )
         return Game(initial=data["initial"], states=tuple(states))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGame(f"malformed game description: {exc}") from exc
 
 

@@ -5,15 +5,16 @@ Fixing the minimizer's choices in a game leaves a maximizer-only process
 strategy sigma instead of building that process: a strategy profile, sigma
 together with a maximizer policy, sends every controlled state to one
 successor.  The public functions take a process and pass its forced
-Player-2 moves as sigma.  Profiles are evaluated by exact rational linear
-solves, scalarized-optimal policies are found by policy iteration, and the
-exact Pareto frontier at a state is enumerated by dichotomic weight
-refinement: expose the two lexicographic extreme vertices, then recursively
-probe each candidate edge with its facet-normal direction until every edge
-is confirmed.  One sweep serves every state, since each direction's optimal
-policy is optimal from all states at once.  Every returned vertex is
-realized by a concrete policy, so the frontier is achievable by
-construction.
+Player-2 moves as sigma.  Profiles are evaluated by exact sparse rational
+elimination (each row holds at most three nonzeros, and I - P is an
+M-matrix, so no pivoting is needed), scalarized-optimal policies are found
+by policy iteration, and the exact Pareto frontier at a state is
+enumerated by dichotomic weight refinement: expose the two lexicographic
+extreme vertices, then recursively probe each candidate edge with its
+facet-normal direction until every edge is confirmed.  One sweep serves
+every state, since each direction's optimal policy is optimal from all
+states at once.  Every returned vertex is realized by a concrete policy,
+so the frontier is achievable by construction.
 
 Each probed direction w gets one policy-iteration loop that ranks
 successors by (w . v, u . v) lexicographically, u the other axis.  For
@@ -25,6 +26,7 @@ w and u are linearly independent.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -100,36 +102,13 @@ def _require_policy(mdp: Game, pol: Mapping[str, str]) -> None:
             )
 
 
-def _solve_linear(
-    rows: list[list[Fraction]], rhs: list[list[Fraction]]
-) -> list[list[Fraction]] | None:
-    """Solve A x = b for several right-hand sides by exact Gaussian
-    elimination; None when A is singular."""
-    n = len(rows)
-    m = [row[:] + r[:] for row, r in zip(rows, rhs)]
-    width = len(m[0]) if m else 0
-    for col in range(n):
-        pivot = max(
-            range(col, n), key=lambda r: abs(m[r][col]), default=col
-        )
-        if n and m[pivot][col] == 0:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:width] for row in m]
-
-
 def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
     """Expected total reward pair from every state under the policy.
 
     Solves v(s) = reward(s) + sum_t P(s,t) v(t) with v = (0,0) on terminals
-    exactly; a singular system means the policy's chain keeps some states
-    away from the terminals forever."""
+    exactly, by sparse elimination without pivoting (see ``_policy_values``);
+    a zero pivot means the policy's chain keeps some states away from the
+    terminals forever."""
     require_valid(mdp)
     sigma = _forced_moves(mdp)
     _require_policy(mdp, pol)
@@ -139,32 +118,53 @@ def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
 def _policy_values(g: Game, choice: Mapping[str, str]) -> dict[str, Point]:
     """``policy_evaluate`` of the strategy profile ``choice``, which sends
     every controlled state of g to one of its successors; both already
-    known valid."""
+    known valid.
+
+    Sparse elimination of (I - P) v = r over the non-terminal states, in
+    listed order and without pivoting: a row holds only its nonzeros (the
+    diagonal and at most two successors) and is reduced against the rows
+    above it; back-substitution then gives the values.  P is substochastic,
+    so A = I - P is a Z-matrix with rho(P) <= 1, an M-matrix, and an
+    M-matrix is nonsingular iff all its principal minors are positive.
+    The k-th pivot is det(A_k)/det(A_k-1), so a pivot is zero iff A is
+    singular, iff the profile's chain misses the terminals from some state.
+    Otherwise the solution is unique, whatever the elimination order."""
     non_term = [s for s in g.states if s.kind is not Kind.TERMINAL]
     index = {s.id: i for i, s in enumerate(non_term)}
-    n = len(non_term)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [[s.reward[0], s.reward[1]] for s in non_term]
-    for s in non_term:
-        i = index[s.id]
-        rows[i][i] += 1
-        if s.kind is Kind.CHANCE:
-            moves: Sequence[tuple[str, Fraction]] = s.transitions
-        else:
-            moves = ((choice[s.id], Fraction(1)),)
+    # reduced row i: v_i + sum_c upper[i][c] v_c = rhs[i], c > i; later rhs[i] = v_i
+    upper: list[dict[int, Fraction]] = []
+    rhs: list[Point] = []
+    for i, s in enumerate(non_term):
+        row = {i: Fraction(1)}
+        moves = s.transitions if s.kind is Kind.CHANCE else ((choice[s.id], 1),)
         for t, p in moves:
             j = index.get(t)
             if j is not None:
-                rows[i][j] -= p
-    solution = _solve_linear(rows, rhs)
-    if solution is None:
-        raise NotStoppingUnderPolicy(
-            "the policy's chain does not reach a terminal from every state"
-        )
-    values: dict[str, Point] = {
-        s.id: (solution[index[s.id]][0], solution[index[s.id]][1])
-        for s in non_term
-    }
+                row[j] = row.get(j, 0) - p
+        x, y = s.reward
+        below = [j for j in row if j < i]
+        heapq.heapify(below)
+        while below:
+            j = heapq.heappop(below)
+            f = row.pop(j)
+            for c, a in upper[j].items():
+                if c < i and c not in row:
+                    heapq.heappush(below, c)
+                row[c] = row.get(c, 0) - f * a
+            x, y = x - f * rhs[j][0], y - f * rhs[j][1]
+        pivot = row.pop(i)
+        if not pivot:
+            raise NotStoppingUnderPolicy(
+                "the policy's chain does not reach a terminal from every state"
+            )
+        upper.append({c: a / pivot for c, a in row.items() if a})
+        rhs.append((x / pivot, y / pivot))
+    for i in reversed(range(len(non_term))):
+        x, y = rhs[i]
+        for c, a in upper[i].items():
+            x, y = x - a * rhs[c][0], y - a * rhs[c][1]
+        rhs[i] = (x, y)
+    values = {s.id: rhs[i] for i, s in enumerate(non_term)}
     for s in g.states:
         if s.kind is Kind.TERMINAL:
             values[s.id] = (Fraction(0), Fraction(0))

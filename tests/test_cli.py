@@ -79,6 +79,18 @@ def test_validate_missing_file_is_input_error(capsys):
     assert err.startswith("error: FileNotFoundError")
 
 
+@pytest.mark.parametrize(
+    "text", ['{"initial": "a", "states": [5]}', '{"initial": "a", "states": ["abc"]}']
+)
+def test_malformed_state_record_is_an_input_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert err.startswith("error: InvalidGame: malformed game description: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_stopping_verdicts(fig3_path, tmp_path, capsys):
     code, out, _ = run(capsys, "stopping", fig3_path)
     assert code == 0 and "stopping: true" in out
@@ -638,3 +650,15 @@ def test_broken_invariant_is_an_internal_error(tmp_path, capsys, monkeypatch):
     )
     assert code == 4
     assert err == "error: internal: InvariantBroken: deliberately broken\n"
+
+
+def test_unexpected_exception_is_an_internal_error(heating_path, capsys, monkeypatch):
+    import paretogames.cli as cli
+
+    def broken(args):
+        raise RuntimeError("deliberately broken")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    code, out, err = run(capsys, "validate", heating_path)
+    assert code == 4 and out == ""
+    assert err == "error: internal: RuntimeError: deliberately broken\n"

@@ -347,6 +347,24 @@ def test_malformed_game_json_names_the_fault(data, detail):
     assert str(info.value) == f"malformed game description: {detail}"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"initial": "a", "states": [5]},
+        {"initial": "a", "states": ["abc"]},
+        {
+            "initial": "a",
+            "states": [{"id": "a", "kind": "p1", "reward": [0, 0], "transitions": [5]}],
+        },
+        ["abc"],
+    ],
+    ids=["int-record", "str-record", "int-edge", "list-document"],
+)
+def test_non_object_records_are_malformed(data):
+    with pytest.raises(InvalidGame, match=r"^malformed game description: "):
+        game_from_json(data)
+
+
 def test_make_game_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match=r"^'bogus' is not a valid Kind$"):
         make_game("a", [("a", "bogus", (0, 0), [("a", 1)])])

@@ -3,6 +3,7 @@ iteration, and the dichotomic Pareto-curve enumeration."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from paretogames import (
     support,
 )
 from randgen import (
+    random_game,
     random_positive_direction,
     random_stopping_game,
     random_stopping_mdp,
@@ -133,6 +135,81 @@ def test_policy_evaluate_detects_non_stopping_policy():
     assert policy_evaluate(g, {"a": "t"})["a"] == (F(1), F(0))
 
 
+def _reaches_terminals(mdp: Game, pol: dict[str, str]) -> bool:
+    """Graph oracle: under pol, can every state of mdp reach a terminal?"""
+    moves = {
+        s.id: [pol[s.id]] if s.kind is Kind.P1 else [t for t, _ in s.transitions]
+        for s in mdp.states
+        if s.kind is not Kind.TERMINAL
+    }
+    reach = {s.id for s in mdp.states if s.kind is Kind.TERMINAL}
+    grown = True
+    while grown:
+        new = {sid for sid, ts in moves.items() if any(t in reach for t in ts)}
+        grown = not new <= reach
+        reach |= new
+    return len(reach) == len(mdp.states)
+
+
+def _assert_zero_residual(mdp: Game, pol: dict[str, str], vals) -> None:
+    for s in mdp.states:
+        if s.kind is Kind.TERMINAL:
+            assert vals[s.id] == (F(0), F(0))
+            continue
+        succ = [(pol[s.id], F(1))] if s.kind is Kind.P1 else s.transitions
+        for k in (0, 1):
+            assert vals[s.id][k] - s.reward[k] - sum(
+                p * vals[t][k] for t, p in succ
+            ) == 0
+
+
+SELF_LOOPS = Game(
+    "c",
+    (
+        StateRecord("c", Kind.CHANCE, (F(1), F(-1)), (("c", F(1, 2)), ("p", F(1, 2)))),
+        StateRecord("p", Kind.P1, (F(0), F(2)), (("p", F(1)), ("q", F(1)))),
+        StateRecord("q", Kind.P1, (F(1), F(1)), (("c", F(1)), ("t", F(1)))),
+        term("t"),
+    ),
+)
+
+
+def test_self_loops_raise_exactly_when_no_terminal_is_reached():
+    assert policy_evaluate(SELF_LOOPS, {"p": "q", "q": "t"}) == {
+        "c": (F(3), F(1)), "p": (F(1), F(3)), "q": (F(1), F(1)), "t": (F(0), F(0))
+    }
+    # a Player-1 self-loop, and a cycle through the chance self-loop
+    for pol in ({"p": "p", "q": "t"}, {"p": "q", "q": "c"}):
+        with pytest.raises(NotStoppingUnderPolicy):
+            policy_evaluate(SELF_LOOPS, pol)
+
+
+def test_singular_profiles_match_a_reachability_oracle():
+    """policy_evaluate raises NotStoppingUnderPolicy iff some state of the
+    profile's chain cannot reach a terminal, on games that need not be
+    stopping; otherwise its values solve the equations exactly."""
+    processes = [SELF_LOOPS]
+    for seed in range(200):
+        g = random_game(seed)
+        processes += [induce_mdp(g, sigma) for sigma in enumerate_md_strategies(g)]
+    raised = solved = 0
+    for mdp in processes:
+        p1 = [s for s in mdp.states if s.kind is Kind.P1]
+        for combo in itertools.product(*(s.successors for s in p1)):
+            pol = {s.id: t for s, t in zip(p1, combo)}
+            stops = _reaches_terminals(mdp, pol)
+            try:
+                vals = policy_evaluate(mdp, pol)
+            except NotStoppingUnderPolicy:
+                assert not stops, (mdp, pol)
+                raised += 1
+                continue
+            assert stops, (mdp, pol)
+            _assert_zero_residual(mdp, pol, vals)
+            solved += 1
+    assert raised > 100 and solved > 100
+
+
 def test_policy_evaluate_zero_residual_on_random_mdps():
     rng = random.Random(41)
     for seed in range(30):
@@ -145,20 +222,10 @@ def test_policy_evaluate_zero_residual_on_random_mdps():
         try:
             vals = policy_evaluate(mdp, pol)
         except NotStoppingUnderPolicy:
-            continue  # the sampled policy may close a loop; that is fine
-        for s in mdp.states:
-            if s.kind is Kind.TERMINAL:
-                assert vals[s.id] == (F(0), F(0))
-                continue
-            if s.kind is Kind.P1:
-                succ = [(pol[s.id], F(1))]
-            else:
-                succ = list(s.transitions)
-            expect = (
-                s.reward[0] + sum(p * vals[t][0] for t, p in succ),
-                s.reward[1] + sum(p * vals[t][1] for t, p in succ),
-            )
-            assert vals[s.id] == expect
+            # the sampled policy may close a loop, but only a real one
+            assert not _reaches_terminals(mdp, pol)
+            continue
+        _assert_zero_residual(mdp, pol, vals)
 
 
 # ---------------------------------------------------------------------------
