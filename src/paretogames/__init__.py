@@ -22,6 +22,7 @@ from .errors import (
     HypothesisViolated,
     IncompleteCurveMap,
     InvalidBettingGame,
+    InvalidCurveFile,
     InvalidGame,
     InvalidStrategy,
     InvalidValuation,

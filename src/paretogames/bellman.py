@@ -18,9 +18,14 @@ fixpoint of the simultaneous operator as well, since the first unchanged
 state leaves every input unchanged in turn.
 
 ``value_iterate`` consumes ``iterates`` and is the one place that applies
-the stopping rule; its result carries the certified residual of every sweep
+the stopping rules; its result carries the certified residual of every sweep
 (``IterationResult.residuals``), so callers report a run without replaying
-it.
+it.  On a stopping game it also stops at the exact answer: the Pareto curves
+have finitely many vertices with small-denominator rational coordinates, so
+after sweeps 1, 2, 4, 8, ... it rounds the iterate to denominators 10,
+100, ... and returns the first rounding that the fixpoint check accepts.
+The curve operator of a stopping game has exactly one fixpoint, so an
+accepted rounding is the Pareto-curve family itself.
 """
 
 from __future__ import annotations
@@ -63,6 +68,15 @@ _ZERO = canonicalize([(0, 0)])
 
 @dataclass(frozen=True)
 class IterationResult:
+    """What ``value_iterate`` returns.
+
+    ``fixpoint_reached`` means the curves are a verified exact fixpoint of
+    the operator: a sweep changed nothing, or a rounded iterate passed the
+    fixpoint check.  On a stopping game they are then the Pareto-curve
+    family itself and ``residual_bound`` is 0.  ``residuals`` holds the
+    survival bound of every sweep that ran (empty for non-stopping games).
+    """
+
     curves: CurveMap
     iterations: int
     residual_bound: Fraction | None
@@ -197,21 +211,65 @@ def iterates(g: Game) -> Iterator[CurveMap]:
             curves[s.id] = _state_update(s, curves)
 
 
+class _Snapped(dict):
+    """``curves`` with every vertex rounded to a denominator of at most
+    ``d`` and canonicalized, each state rounded when it is first read."""
+
+    def __init__(self, curves: Mapping[str, Frontier], d: int) -> None:
+        super().__init__()
+        self.curves = curves
+        self.d = d
+
+    def __missing__(self, sid: str) -> Frontier:
+        f = self[sid] = canonicalize(
+            [
+                (x.limit_denominator(self.d), y.limit_denominator(self.d))
+                for x, y in self.curves[sid].vertices
+            ]
+        )
+        return f
+
+
+def _snap(g: Game, curves: CurveMap, n: int) -> CurveMap | None:
+    """The first rounding of ``curves`` to denominators d = 10, 100, ...,
+    10^t (t the bit length of the sweep count n) that one simultaneous step
+    reproduces at every state, or None.  Each candidate is built lazily and
+    dropped at its first mismatching state, so a failing one costs a few
+    states rather than a sweep."""
+    for k in range(1, n.bit_length() + 1):
+        candidate = _Snapped(curves, 10**k)
+        if all(_state_update(s, candidate) == candidate[s.id] for s in g.states):
+            return {s.id: candidate[s.id] for s in g.states}
+    return None
+
+
 def value_iterate(
     g: Game, epsilon: RationalLike, max_iters: int
 ) -> IterationResult:
-    """Consume ``iterates(g)`` until one of three rules fires.
+    """Consume ``iterates(g)`` until one of four rules fires.
 
     (a) A sweep changes nothing: an exact fixpoint, also of the simultaneous
-    operator, reported with ``residual_bound`` 0.  (b) For stopping games,
-    the certified residual drops to ``epsilon`` or below.  The residual
-    after sweep n is tail_bound(g, 0) * A_n, with A_n the largest
-    worst-case probability of surviving n steps; it is sound because n
-    sweeps propagate information at least n steps deep, so the returned
-    curves differ from the true ones by at most the expected reward
-    collected after depth n.  (c) ``max_iters`` sweeps ran (converged =
-    False; for non-stopping games the result is then only an iterate, not
-    the least fixpoint).
+    operator, reported with ``residual_bound`` 0.  (a') For stopping games,
+    after sweep n when n is a power of two (1, 2, 4, 8, ...), a rounding of
+    the iterate is a fixpoint (``_snap``): for d = 10, 100, ..., 10^t with
+    t the bit length of n, every vertex is rounded with
+    ``Fraction.limit_denominator(d)`` and each state canonicalized, and the
+    first candidate that ``check_fixpoint`` accepts is returned like (a),
+    with ``iterations`` n.  It is exact: in a stopping game the operator
+    has exactly one fixpoint among nonempty curve families (k steps, k the
+    depth of the stopping attractor, contract the (c,c)-shift distance
+    between any two families by a factor below 1, so two fixpoints are at
+    distance 0), and the Pareto-curve family is that fixpoint; so an
+    accepted candidate *is* the family, however it was obtained.
+    Non-stopping games never snap, since their fixpoint is not unique.
+    (b) For stopping games, the certified residual drops to ``epsilon`` or
+    below.  The residual after sweep n is tail_bound(g, 0) * A_n, with A_n
+    the largest worst-case probability of surviving n steps; it is sound
+    because n sweeps propagate information at least n steps deep, so the
+    returned curves differ from the true ones by at most the expected
+    reward collected after depth n.  (c) ``max_iters`` sweeps ran
+    (converged = False; for non-stopping games the result is then only an
+    iterate, not the least fixpoint).
 
     The residual is never above tail_bound(g, n) = ceiling *
     decay^floor(n/|S|).  Every state of a stopping game reaches a terminal
@@ -221,9 +279,9 @@ def value_iterate(
     A_(m+n) <= A_m * A_n, hence A_n <= decay^floor(n/|S|).
 
     ``residuals`` holds that residual for every sweep that ran, the
-    fixpoint sweep included (it is empty for non-stopping games).  The
-    game is checked for stopping once, and ceiling = tail_bound(g, 0)
-    comes once from the helper behind ``tail_bound``.
+    fixpoint or snapping sweep included (it is empty for non-stopping
+    games).  The game is checked for stopping once, and ceiling =
+    tail_bound(g, 0) comes once from the helper behind ``tail_bound``.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
@@ -246,6 +304,10 @@ def value_iterate(
         if stopping:
             alive = _alive_step(g, alive)
             residuals.append(ceiling * max(alive.values(), default=Fraction(0)))
+            if not fixpoint and n & (n - 1) == 0:
+                snapped = _snap(g, curves, n)
+                if snapped is not None:
+                    curves, fixpoint = snapped, True
         if fixpoint or (stopping and residuals[-1] <= epsilon):
             return IterationResult(
                 curves=curves,

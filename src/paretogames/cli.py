@@ -17,6 +17,7 @@ through a single one-line, machine-parsable message on stderr:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import urllib.parse
@@ -248,7 +249,10 @@ def _cmd_betting_sim(args) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Subcommand ``foo-bar`` runs
+    ``_cmd_foo_bar``, looked up when ``main`` runs it."""
     parser = argparse.ArgumentParser(
         prog="paretogames",
         description=(
@@ -262,11 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the structural game invariants")
     p.add_argument("game")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("stopping", help="decide the stopping property")
     p.add_argument("game")
-    p.set_defaults(func=_cmd_stopping)
 
     p = sub.add_parser(
         "normalize",
@@ -274,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("game")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser(
         "discount", help="reduce a discounted game to a total-reward game"
@@ -282,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--delta", required=True, help="discount factor p/q in (0,1)")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_discount)
 
     p = sub.add_parser("solve-vi", help="value-iterate to a residual target")
     p.add_argument("game")
@@ -290,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--svg", action="store_true", help="also write per-state SVG")
-    p.set_defaults(func=_cmd_solve_vi)
 
     p = sub.add_parser(
         "solve-determined",
@@ -301,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
     # read by nothing: perfbench/workloads.py still passes it; drop both together
     p.add_argument("--check-determinacy", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_solve_determined)
 
     p = sub.add_parser("query", help="is a point achievable from a state?")
     p.add_argument("game")
@@ -310,12 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["vi", "determined"], default="determined")
     p.add_argument("--epsilon", default="1/1000")
     p.add_argument("--max-iters", type=int, default=10000)
-    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("audit", help="slope-law audit of a curve directory")
     p.add_argument("game")
     p.add_argument("--curves", required=True, help="directory of per-state CSV")
-    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("betting-sim", help="simulate the betting-game strategy")
     p.add_argument("betting")
@@ -325,15 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_betting_sim)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except Exception as exc:
         code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
         tag = "internal: " if code == INTERNAL else ""

@@ -34,6 +34,10 @@ class WeightsInvalid(GameSolverError):
     """Weighted-sum terms must have 1-2 positive weights summing to one."""
 
 
+class InvalidCurveFile(GameSolverError):
+    """A curve CSV row is not two comma-separated rational coordinates."""
+
+
 # ---------------------------------------------------------------------------
 # Game structure
 

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence, Union
 from .errors import (
     BadDirection,
     EmptyInput,
+    InvalidCurveFile,
     OutOfDomain,
     WeightsInvalid,
 )
@@ -397,13 +398,17 @@ def frontier_to_csv(f: Frontier) -> str:
 
 
 def frontier_from_csv(text: str) -> Frontier:
+    """The frontier of the ``x,y`` rows of ``text``; blank lines are
+    skipped.  A malformed row raises ``InvalidCurveFile`` naming its line."""
     pts: list[Point] = []
-    for line in text.strip().splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        a, b = line.split(",")
-        pts.append((as_fraction(a.strip()), as_fraction(b.strip())))
+        try:
+            pts.append(as_point([cell.strip() for cell in line.split(",")]))
+        except (TypeError, ValueError) as exc:
+            raise InvalidCurveFile(f"line {number}: {line!r}: {exc}") from None
     return canonicalize(pts)
 
 

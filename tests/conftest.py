@@ -74,6 +74,6 @@ def fig3():
 
 @pytest.fixture(scope="session")
 def fig3_vi(fig3):
-    """The long tail-bound-terminated run at epsilon 1/1000 (429 sweeps,
-    ~45 s); computed once and shared."""
+    """Value iteration at epsilon 1/1000, which stops exactly at sweep 32
+    by snapping its iterate to the fixpoint; computed once and shared."""
     return value_iterate(fig3, F(1, 1000), 10000)

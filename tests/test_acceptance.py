@@ -76,9 +76,10 @@ def test_criterion_3_exact_curve_and_vi_tolerance(fig3, fig3_vi):
     v = solve_determined(fig3)
     assert v["s0"].vertices == ((F(0), F(1)), (F(1), F(0)))
     res = fig3_vi
-    assert res.converged and not res.fixpoint_reached  # stopped by the bound
+    assert res.converged and res.fixpoint_reached  # snapped to the exact curves
     assert res.residual_bound is not None and res.residual_bound <= EPS
     exact = {sid: frontier_of(p) for sid, p in FIG3_EXACT.items()}
+    assert res.curves == exact
     worst = F(0)
     for sid, f in res.curves.items():
         for x, y in f.vertices:
@@ -86,7 +87,7 @@ def test_criterion_3_exact_curve_and_vi_tolerance(fig3, fig3_vi):
             assert truth is not None
             worst = max(worst, abs(y - truth))
     assert worst <= EPS
-    print(f"criterion 3: exact curve [(0,1),(1,0)] at s0; tail-bound stop "
+    print(f"criterion 3: exact curve [(0,1),(1,0)] at s0; exact stop "
           f"after {res.iterations} sweeps, worst vertex gap "
           f"{float(worst):.2e} <= 1/1000")
 

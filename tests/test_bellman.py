@@ -23,6 +23,7 @@ from paretogames import (
     achievable,
     achievable_within,
     bellman_step,
+    check_determinacy,
     check_fixpoint,
     contains,
     dwc_conv_union,
@@ -30,6 +31,7 @@ from paretogames import (
     extremal_points,
     initial_curves,
     iterates,
+    make_game,
     support,
     tail_bound,
     translate,
@@ -103,14 +105,14 @@ def test_fig3_iterates_have_n_minus_1_extremal_points(fig3):
 
 
 def test_heating_converges_to_family_within_residual(heating):
-    # The iterates stay dyadic while the fixpoint has thirds, so an exact
-    # fixpoint is unreachable in finitely many sweeps; the engine instead
-    # stops via the tail bound and lands within the residual of the family.
+    # The iterates stay dyadic while the fixpoint has thirds, so no sweep
+    # reproduces its input; the engine instead rounds an iterate to small
+    # denominators and verifies the rounding as the unique fixpoint.
     res = value_iterate(heating, EPS, 10000)
-    assert res.converged and not res.fixpoint_reached
-    assert res.iterations == 200
+    assert res.converged and res.fixpoint_reached
     assert res.residual_bound is not None and res.residual_bound <= EPS
     exact = exact_map(HEATING_EXACT)
+    assert res.curves == exact
     r = res.residual_bound
     for sid, f in res.curves.items():
         # each iterate vertex sits within the residual of the true set,
@@ -131,9 +133,10 @@ def test_terminal_only_fixpoint_after_one_sweep():
 
 def test_fig3_vi_terminates_by_tail_bound_within_tolerance(fig3, fig3_vi):
     res = fig3_vi
-    assert res.converged and not res.fixpoint_reached
+    assert res.converged and res.fixpoint_reached
     assert res.residual_bound is not None and res.residual_bound <= EPS
     exact = exact_map(FIG3_EXACT)
+    assert res.curves == exact
     for sid, f in res.curves.items():
         for x, y in f.vertices:
             truth = evaluate(exact[sid], x)
@@ -178,12 +181,19 @@ def test_fixpoint_reported_implies_check_fixpoint():
     "case", ["fig3"] + [f"seed{seed}" for seed in range(10)]
 )
 def test_value_iterate_stops_on_an_iterate(case, fig3):
-    # every run of n sweeps returns exactly the n-th yielded map
+    # every run of n sweeps returns exactly the n-th yielded map, unless it
+    # snapped: then its last sweep changed something and it returns a
+    # verified fixpoint after at most n sweeps
     g = fig3 if case == "fig3" else random_stopping_game(int(case[4:]))
     eps, cap = (TINY, 14) if case == "fig3" else (EPS, 40)
     hist = list(islice(iterates(g), cap + 1))
     for n in range(value_iterate(g, eps, cap).iterations + 1):
-        assert value_iterate(g, eps, n).curves == hist[n]
+        res = value_iterate(g, eps, n)
+        k = res.iterations
+        if res.fixpoint_reached and hist[k] != hist[k - 1]:
+            assert k <= n and check_fixpoint(g, res.curves)
+        else:
+            assert res.curves == hist[n]
 
 
 def test_iterates_yield_fresh_maps(fig3):
@@ -212,6 +222,71 @@ def test_fixpoint_sweep_keeps_its_residual():
     assert res.residuals[-1] > EPS
 
 
+def _within(a: Frontier, b: Frontier, r: F) -> bool:
+    """Every vertex of each curve, shifted down by (r, r), lies in the other."""
+    return all(contains(b, (x - r, y - r)) for x, y in a.vertices) and all(
+        contains(a, (x - r, y - r)) for x, y in b.vertices
+    )
+
+
+def _iterate_within(g: Game, r: F) -> dict[str, Frontier]:
+    """The first iterate whose survival residual, computed as
+    ``value_iterate`` does, is at most r."""
+    ceiling, _ = paretogames.bellman._tail_terms(g)
+    alive = {s.id: F(0 if s.kind is Kind.TERMINAL else 1) for s in g.states}
+    sweeps = iterates(g)
+    next(sweeps)
+    for curves in sweeps:
+        alive = paretogames.bellman._alive_step(g, alive)
+        if ceiling * max(alive.values()) <= r:
+            return curves
+
+
+def test_exact_stops_are_the_unique_fixpoint():
+    snapped, nondetermined = 0, []
+    for seed in range(150):
+        g = random_stopping_game(seed, max_states=8)
+        res = value_iterate(g, EPS, 10000)
+        if not res.fixpoint_reached:
+            continue
+        snapped += 1
+        assert res.residual_bound == 0 and check_fixpoint(g, res.curves)
+        determined, enumerated = check_determinacy(g)
+        if determined:
+            assert res.curves == enumerated, seed
+        else:
+            nondetermined.append(seed)
+            close = _iterate_within(g, F(1, 10**6))
+            for sid in g.state_ids:
+                assert _within(res.curves[sid], close[sid], F(1, 10**6))
+    assert snapped >= 149 and nondetermined == [0, 29]
+
+
+def test_non_stopping_game_never_snaps():
+    # the maximizer may loop on a forever; the least fixpoint (2,2) at a
+    # and b is approached by dyadic iterates and never reached
+    g = make_game(
+        "a",
+        [
+            ("a", "p1", (0, 0), [("a", 1), ("b", 1)]),
+            ("b", "chance", (1, 1), [("a", F(1, 2)), ("t", F(1, 2))]),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    two = frontier_of([(F(2), F(2))])
+    assert check_fixpoint(g, {"a": two, "b": two, "t": frontier_of([(F(0), F(0))])})
+    res = value_iterate(g, EPS, 64)
+    assert not res.converged and not res.fixpoint_reached
+    assert res.iterations == 64 and res.curves["a"] != two
+
+
+def test_epsilon_rule_still_stops_runs_that_do_not_snap():
+    res = value_iterate(random_stopping_game(106), EPS, 10000)
+    assert res.converged and not res.fixpoint_reached
+    assert res.iterations == 117
+    assert 0 < res.residual_bound <= EPS
+
+
 def test_non_stopping_game_has_no_residuals():
     g = Game("a", (StateRecord("a", Kind.P1, (F(1), F(1)), (("a", F(1)),)),))
     res = value_iterate(g, EPS, 5)
@@ -219,22 +294,28 @@ def test_non_stopping_game_has_no_residuals():
     assert res.iterations == 5 and not res.converged
 
 
-# SHA-256 of repr(sorted(value_iterate(g, 1/1000, 40).curves.items())),
-# computed with the sort-and-hull curve kernel that preceded the linear
-# merges.  Any change to a single bit of any curve fails this test.
+# SHA-256 of repr(sorted(curves.items())) for iterate 40 of fig3 and
+# iterate 33 of random_stopping_game(47) (where the tail-bound rule at
+# 1/1000 used to stop), computed with the sort-and-hull curve kernel that
+# preceded the linear merges.  Any change to a single bit of any curve
+# fails this test.
 CURVE_DIGESTS = {
-    "fig3": "d7ff0b53740106998643808cd6a3fba47631111b5cb453ecf5a0b35b41367f9a",
+    "fig3": (40, "d7ff0b53740106998643808cd6a3fba47631111b5cb453ecf5a0b35b41367f9a"),
     # 4 states: Player-1, Player-2 and chance states with two successors each
-    "random-47": "970f17713ab2ec88b0bfabde69fb0d25412a844c83cdb6c9aec70caf093a49b2",
+    "random-47": (
+        33,
+        "970f17713ab2ec88b0bfabde69fb0d25412a844c83cdb6c9aec70caf093a49b2",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_DIGESTS))
 def test_value_iteration_curves_are_bit_identical(name, fig3):
     g = fig3 if name == "fig3" else random_stopping_game(47)
-    curves = value_iterate(g, EPS, 40).curves
+    n, expected = CURVE_DIGESTS[name]
+    curves = list(islice(iterates(g), n + 1))[n]
     digest = hashlib.sha256(repr(sorted(curves.items())).encode()).hexdigest()
-    assert digest == CURVE_DIGESTS[name]
+    assert digest == expected
 
 
 @pytest.mark.parametrize("sweeps", [1, 5, 12])

@@ -183,13 +183,15 @@ def test_solve_vi_converges_on_heating(heating_path, tmp_path, capsys):
         capsys, "solve-vi", heating_path, "--out-dir", str(out_dir)
     )
     assert code == 0
-    assert "converged=true" in out and "iterations=200" in out
+    assert "converged=true iterations=32 residual_bound=0/1" in out
     run_info = json.loads((out_dir / "run.json").read_text())
     assert run_info["converged"] is True
-    assert run_info["fixpoint_reached"] is False
+    assert run_info["fixpoint_reached"] is True
     log = (out_dir / "iterations.log").read_text().splitlines()
-    assert len(log) == 200
-    assert log[-1] == f"200 residual_bound={run_info['residual_bound']}"
+    assert len(log) == 32
+    # the snapping sweep keeps its survival bound in the log
+    assert log[-1].startswith("32 residual_bound=")
+    assert log[-1] != "32 residual_bound=0/1"
 
 
 def _log_lines(result) -> list[str]:
@@ -310,6 +312,16 @@ def test_query_vi_no(heating_path, capsys):
         "vi",
     )
     assert code == 0 and out.strip() == "no"
+
+
+def test_query_vi_yes_at_a_vertex_of_the_exact_curve(heating_path, capsys):
+    # value iteration stops at the exact curves, so a vertex is decided
+    # instead of falling in the residual band
+    code, out, _ = run(
+        capsys, "query", heating_path, "--state", "CH2", "--point=-1,-2",
+        "--mode", "vi",
+    )
+    assert (code, out) == (0, "yes\n")
 
 
 # An 11-state stopping game that is not determined: strategy enumeration

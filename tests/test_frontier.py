@@ -15,6 +15,8 @@ from paretogames import (
     BadDirection,
     EmptyInput,
     Frontier,
+    GameSolverError,
+    InvalidCurveFile,
     OutOfDomain,
     WeightsInvalid,
     canonicalize,
@@ -22,6 +24,8 @@ from paretogames import (
     dwc_conv_union,
     evaluate,
     extremal_points,
+    frontier_from_csv,
+    frontier_to_csv,
     intersect_min,
     slope_at,
     support,
@@ -484,6 +488,48 @@ def test_binary_ops_monotone_under_inclusion():
             weighted_sum([(p, f1), (1 - p, f2)]),
             weighted_sum([(p, g1), (1 - p, g2)]),
         )
+
+
+# ---------------------------------------------------------------------------
+# CSV round trip and malformed rows
+
+
+@given(point_lists)
+def test_csv_round_trip(points):
+    f = canonicalize(points)
+    assert frontier_from_csv(frontier_to_csv(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "1,2,3\n",
+            "line 1: '1,2,3': a point needs exactly two coordinates, "
+            "got ['1', '2', '3']",
+        ),
+        ("0,1\n1/2,x\n", "line 2: '1/2,x': Invalid literal for Fraction: 'x'"),
+        ("\n0,1\n\n1/0,2\n", "line 4: '1/0,2': zero denominator in '1/0'"),
+        (
+            "7\n",
+            "line 1: '7': a point needs exactly two coordinates, got ['7']",
+        ),
+    ],
+)
+def test_malformed_csv_row_names_its_line(text, message):
+    with pytest.raises(InvalidCurveFile) as info:
+        frontier_from_csv(text)
+    assert str(info.value) == message
+
+
+@settings(max_examples=300)
+@given(st.text() | st.text(alphabet="0123456789/,-+. \n\tx"))
+def test_any_csv_text_loads_or_raises_a_package_error(text):
+    try:
+        f = frontier_from_csv(text)
+    except GameSolverError:
+        return
+    assert isinstance(f, Frontier)
 
 
 # ---------------------------------------------------------------------------
