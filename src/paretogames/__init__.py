@@ -78,7 +78,6 @@ from .games import (
 from .bellman import (
     CurveMap,
     IterationResult,
-    achievable,
     achievable_within,
     bellman_step,
     check_fixpoint,
@@ -95,6 +94,7 @@ from .mdp import (
     policy_evaluate,
 )
 from .determined import (
+    certified_curves,
     check_determinacy,
     enumerate_md_strategies,
     solve_determined,

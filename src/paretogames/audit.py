@@ -22,7 +22,6 @@ solver (which are related by exactly one operator application).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -90,9 +89,6 @@ class AuditReport:
                 for f in self.findings
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 class _Collector:

@@ -70,10 +70,11 @@ _ZERO = canonicalize([(0, 0)])
 class IterationResult:
     """What ``value_iterate`` returns.
 
-    ``fixpoint_reached`` means the curves are a verified exact fixpoint of
-    the operator: a sweep changed nothing, or a rounded iterate passed the
-    fixpoint check.  On a stopping game they are then the Pareto-curve
-    family itself and ``residual_bound`` is 0.  ``residuals`` holds the
+    Exactness is one fact, ``residual_bound == 0`` (``fixpoint_reached``):
+    a sweep changed nothing, a rounded iterate passed the fixpoint check or
+    the survival residual reached 0, so the curves are an exact fixpoint, on
+    a stopping game the Pareto curves.  A run that certifies nothing has
+    ``residual_bound`` None and a ``note``.  ``residuals`` holds the
     survival bound of every sweep that ran (empty for non-stopping games).
     """
 
@@ -81,9 +82,15 @@ class IterationResult:
     iterations: int
     residual_bound: Fraction | None
     converged: bool
-    fixpoint_reached: bool
-    note: str = ""
     residuals: tuple[Fraction, ...] = field(default=(), repr=False)
+
+    @property
+    def fixpoint_reached(self) -> bool:
+        return self.residual_bound == 0
+
+    @property
+    def note(self) -> str:
+        return "" if self.residual_bound is not None else "iterate, not least fixpoint"
 
     def __post_init__(self) -> None:
         if self.fixpoint_reached and not self.converged:
@@ -267,9 +274,9 @@ def value_iterate(
     the largest worst-case probability of surviving n steps; it is sound
     because n sweeps propagate information at least n steps deep, so the
     returned curves differ from the true ones by at most the expected
-    reward collected after depth n.  (c) ``max_iters`` sweeps ran
-    (converged = False; for non-stopping games the result is then only an
-    iterate, not the least fixpoint).
+    reward collected after depth n (a residual of 0 is an exact stop).
+    (c) ``max_iters`` sweeps ran (converged = False; for non-stopping
+    games the result is then only an iterate, not the least fixpoint).
 
     The residual is never above tail_bound(g, n) = ceiling *
     decay^floor(n/|S|).  Every state of a stopping game reaches a terminal
@@ -314,7 +321,6 @@ def value_iterate(
                 iterations=n,
                 residual_bound=Fraction(0) if fixpoint else residuals[-1],
                 converged=True,
-                fixpoint_reached=fixpoint,
                 residuals=tuple(residuals),
             )
     return IterationResult(
@@ -322,26 +328,12 @@ def value_iterate(
         iterations=max_iters,
         residual_bound=residuals[-1] if residuals else None,
         converged=False,
-        fixpoint_reached=False,
-        note="" if stopping else "iterate, not least fixpoint",
         residuals=tuple(residuals),
     )
 
 
 # ---------------------------------------------------------------------------
 # Achievability
-
-
-def achievable(
-    g: Game,
-    s: str,
-    z: tuple[RationalLike, RationalLike],
-    curves: Mapping[str, Frontier],
-) -> bool:
-    """Whether the target vector z is dominated by the curve at state s."""
-    _require_complete(g, curves)
-    g.state(s)
-    return contains(curves[s], as_point(z))
 
 
 def achievable_within(

@@ -3,6 +3,7 @@
 ``solve-determined`` always checks its enumerated curves against the curve
 equations: it writes or prints them, then ends with ``determined: true`` (exit
 0) or ``determined: false`` (exit 1), so no curve leaves it uncertified.
+``query`` answers from ``certified_curves``: exact curves never give ``unknown``.
 
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal
@@ -28,7 +29,7 @@ from typing import Mapping
 from .audit import audit_game
 from .bellman import CurveMap, achievable_within, value_iterate
 from .betting import ADAM_FACTORIES, load_betting, simulate, trace_to_csv
-from .determined import check_determinacy
+from .determined import certified_curves, check_determinacy
 from .errors import (
     GameSolverError,
     HypothesisViolated,
@@ -198,19 +199,7 @@ def _cmd_solve_determined(args) -> int:
 def _cmd_query(args) -> int:
     g = load_game(args.game)
     z = _parse_point(args.point)
-    if args.mode == "determined":
-        determined, curves = check_determinacy(g)
-        if not determined:
-            print("not determined")
-            return NEGATIVE
-        residual = Fraction(0)
-    else:
-        result = value_iterate(g, as_fraction(args.epsilon), args.max_iters)
-        if result.residual_bound is None:
-            print("unknown")
-            return OK
-        curves = result.curves
-        residual = result.residual_bound
+    curves, residual = certified_curves(g, as_fraction(args.epsilon), args.max_iters)
     print(achievable_within(g, args.state, z, curves, residual))
     return OK
 
@@ -305,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--state", required=True)
     p.add_argument("--point", required=True, help="x,y with rational coordinates")
-    p.add_argument("--mode", choices=["vi", "determined"], default="determined")
     p.add_argument("--epsilon", default="1/1000")
     p.add_argument("--max-iters", type=int, default=10000)
 

@@ -1,22 +1,22 @@
-"""Exact curves for determined games by minimizer-strategy enumeration.
+"""Exact curves by minimizer-strategy enumeration, and ``certified_curves``.
 
-Fixing each memoryless deterministic choice function sigma of the minimizer
-leaves a maximizer-only process whose exact Pareto curves we can compute.
-That process is never built: each sweep runs on the validated game itself,
-evaluating strategy profiles (sigma together with a maximizer policy).
-Folding the per-strategy curves with pointwise minimum yields the candidate
-family V.  In a stopping game the fixpoint of the curve operator is unique,
-so V passes the fixpoint check iff the game is determined — and then V *is*
-the family of true Pareto curves.
+Fixing a memoryless deterministic choice function sigma of the minimizer
+leaves a maximizer-only process whose exact curves are computed on the game
+itself, one strategy profile at a time.  Their pointwise minimum V passes
+the fixpoint check iff the game is determined, since a stopping game's curve
+equations have one solution, and then V *is* the Pareto-curve family.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterator
 
-from .bellman import CurveMap, check_fixpoint
-from .frontier import intersect_min
+from .bellman import CurveMap, check_fixpoint, value_iterate
+from .errors import NonPositiveEpsilon
+from .frontier import RationalLike, as_fraction, intersect_min
 from .games import Game, Kind, require_stopping, require_valid
 from .mdp import MDStrategy, _pareto_curves
 
@@ -59,3 +59,29 @@ def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     game is not determined.  Returns (verdict, V) either way."""
     curves = solve_determined(g)
     return check_fixpoint(g, curves), curves
+
+
+# Enumeration is skipped above this count; each binary P2 state doubles it.
+MAX_ENUMERATED_STRATEGIES = 1024
+
+
+def certified_curves(
+    g: Game, epsilon: RationalLike, max_iters: int
+) -> tuple[CurveMap, Fraction]:
+    """The Pareto curves of a stopping game and a certified bound on their
+    error, 0 when certified exact: enumeration's when the minimizer has at most
+    MAX_ENUMERATED_STRATEGIES strategies and ``check_determinacy`` passes,
+    else ``value_iterate``'s.  Bad options and NotStopping raise first."""
+    epsilon = as_fraction(epsilon)
+    if epsilon <= 0:
+        raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    require_stopping(g, "an achievability query requires a stopping game")
+    p2 = [len(s.successors) for s in g.states if s.kind is Kind.P2]
+    if prod(p2) <= MAX_ENUMERATED_STRATEGIES:
+        determined, curves = check_determinacy(g)
+        if determined:
+            return curves, Fraction(0)
+    result = value_iterate(g, epsilon, max_iters)
+    return result.curves, result.residual_bound

@@ -53,6 +53,8 @@ def as_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, bool):  # bool is an int; reject it as a coordinate
         raise TypeError("boolean is not a coordinate")
+    if isinstance(value, str) and "e" in value.lower():  # "1e9999999" is huge
+        raise ValueError(f"exponent notation is not accepted: {value!r}")
     if isinstance(value, (int, str, Rational)):
         try:
             return Fraction(value)
@@ -121,10 +123,6 @@ class Frontier:
     @property
     def y_first(self) -> Fraction:
         return self.vertices[0][1]
-
-    @property
-    def y_last(self) -> Fraction:
-        return self.vertices[-1][1]
 
     def __iter__(self):
         return iter(self.vertices)

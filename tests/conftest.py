@@ -62,6 +62,20 @@ def three_successor_game() -> tuple[Game, dict[str, list[tuple[F, F]]]]:
     return g, curves
 
 
+def p2_chain_game(n: int) -> Game:
+    """Minimizer states s0..s(n-1), each moving one or two states ahead
+    (s(n-1) only to the terminal): 2^(n-1) minimizer strategies, and every
+    play ends within n steps."""
+    ids = [f"s{i}" for i in range(n)] + ["t"]
+    states = [
+        (sid, "p2", (i % 3 - 1, 1 - i % 2 * 2), [(t, 1) for t in ids[i + 1 : i + 3]])
+        for i, sid in enumerate(ids[: n - 1])
+    ]
+    states.append((ids[n - 1], "p2", (1, 1), [("t", 1)]))
+    states.append(("t", "terminal", (0, 0), [("t", 1)]))
+    return make_game("s0", states)
+
+
 @pytest.fixture(scope="session")
 def heating():
     return fixture_game("heating")

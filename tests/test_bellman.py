@@ -20,7 +20,6 @@ from paretogames import (
     NonPositiveEpsilon,
     NotStopping,
     StateRecord,
-    achievable,
     achievable_within,
     bellman_step,
     check_determinacy,
@@ -287,6 +286,14 @@ def test_epsilon_rule_still_stops_runs_that_do_not_snap():
     assert 0 < res.residual_bound <= EPS
 
 
+@pytest.mark.parametrize("seed", [1, 11, 15, 42, 62])
+def test_zero_survival_residual_is_an_exact_stop(seed):
+    g = random_stopping_game(seed, max_states=12)
+    res = value_iterate(g, EPS, 10000)
+    assert res.iterations == 3 and res.residuals[-1] == 0
+    assert res.fixpoint_reached and check_fixpoint(g, res.curves)
+
+
 def test_non_stopping_game_has_no_residuals():
     g = Game("a", (StateRecord("a", Kind.P1, (F(1), F(1)), (("a", F(1)),)),))
     res = value_iterate(g, EPS, 5)
@@ -426,15 +433,15 @@ def test_tail_bound_requires_stopping():
 
 
 # ---------------------------------------------------------------------------
-# achievable / achievable_within
+# achievable_within
 
 
 def test_achievable_on_fig3_exact_curve(fig3):
     curves = exact_map(FIG3_EXACT)
-    assert achievable(fig3, "s0", (F(2, 5), F(1, 2)), curves)
-    assert not achievable(fig3, "s0", (F(3, 5), F(3, 5)), curves)
+    assert achievable_within(fig3, "s0", (F(2, 5), F(1, 2)), curves, 0) == "yes"
+    assert achievable_within(fig3, "s0", (F(3, 5), F(3, 5)), curves, 0) == "no"
     first = curves["s0"].vertices[0]
-    assert achievable(fig3, "s0", first, curves)
+    assert achievable_within(fig3, "s0", first, curves, 0) == "yes"
 
 
 def test_achievable_within_three_values(fig3):

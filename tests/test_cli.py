@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+import re
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +19,9 @@ from paretogames import (
     save_game,
     value_iterate,
 )
+import paretogames.determined
 from paretogames.cli import main
-from conftest import three_successor_game
+from conftest import p2_chain_game, three_successor_game
 from randgen import random_betting_game, random_stopping_game
 import random
 
@@ -194,6 +198,19 @@ def test_solve_vi_converges_on_heating(heating_path, tmp_path, capsys):
     assert log[-1] != "32 residual_bound=0/1"
 
 
+def test_solve_vi_reports_a_zero_residual_as_exact(tmp_path, capsys):
+    # every play of this game ends within 3 steps
+    p = tmp_path / "g.json"
+    save_game(random_stopping_game(1, max_states=12), p)
+    out_dir = tmp_path / "vi"
+    code, out, _ = run(capsys, "solve-vi", str(p), "--out-dir", str(out_dir))
+    assert (code, out) == (0, "converged=true iterations=3 residual_bound=0/1\n")
+    run_info = json.loads((out_dir / "run.json").read_text())
+    assert run_info["fixpoint_reached"] is True and run_info["note"] == ""
+    log = (out_dir / "iterations.log").read_text().splitlines()
+    assert log[-1] == "3 residual_bound=0/1"
+
+
 def _log_lines(result) -> list[str]:
     return [
         f"{n} residual_bound={r.numerator}/{r.denominator}"
@@ -308,8 +325,6 @@ def test_query_vi_no(heating_path, capsys):
         "CC1",
         "--point",
         "0,0",
-        "--mode",
-        "vi",
     )
     assert code == 0 and out.strip() == "no"
 
@@ -319,7 +334,6 @@ def test_query_vi_yes_at_a_vertex_of_the_exact_curve(heating_path, capsys):
     # instead of falling in the residual band
     code, out, _ = run(
         capsys, "query", heating_path, "--state", "CH2", "--point=-1,-2",
-        "--mode", "vi",
     )
     assert (code, out) == (0, "yes\n")
 
@@ -365,15 +379,79 @@ def _nd_path(tmp_path):
     return str(game)
 
 
+# V*(s0) is [(-7/2,-1/3), (-1/4,-7/3)], which value iteration certifies
+# exactly; the enumerated curve would wrongly contain (-1/4,-2).
 @pytest.mark.parametrize(
-    "mode, code, answer", [("determined", 1, "not determined"), ("vi", 0, "no")]
+    "point, answer", [("-1/4,-2", "no"), ("-1/4,-7/3", "yes")], ids=["no", "yes"]
 )
-def test_query_on_a_non_determined_game(tmp_path, capsys, mode, code, answer):
+def test_query_on_a_non_determined_game(tmp_path, capsys, point, answer):
     got = run(
-        capsys, "query", _nd_path(tmp_path), "--state", "s0", "--point=-1/4,-2",
-        "--mode", mode,
+        capsys, "query", _nd_path(tmp_path), "--state", "s0", f"--point={point}"
     )
-    assert got[:2] == (code, answer + "\n")
+    assert got[:2] == (0, answer + "\n")
+
+
+def test_query_on_a_non_stopping_game_never_sweeps(tmp_path, capsys, monkeypatch):
+    def no_sweeps(*args):
+        raise AssertionError("value iteration ran")
+
+    monkeypatch.setattr(paretogames.determined, "value_iterate", no_sweeps)
+    loop = Game(
+        "a", (StateRecord("a", Kind.P1, (F(1), F(1)), (("a", F(1)),)),)
+    )
+    p = tmp_path / "loop.json"
+    save_game(loop, p)
+    code, out, err = run(capsys, "query", str(p), "--state", "a", "--point=0,0")
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: NotStopping: an achievability query requires a stopping game"
+    )
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+def test_query_rejects_a_non_positive_epsilon(heating_path, capsys, epsilon):
+    code, out, err = run(
+        capsys, "query", heating_path, "--state", "HH1", "--point=0,0",
+        f"--epsilon={epsilon}",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NonPositiveEpsilon: epsilon must be > 0")
+
+
+def test_query_with_many_minimizer_strategies_answers_quickly(
+    tmp_path, capsys, monkeypatch
+):
+    # 2^60 minimizer strategies: value iteration answers, exactly, since
+    # every play ends within 61 steps; V*(s0) is the single point (-19,-29)
+    def no_enumeration(g):
+        raise AssertionError("strategies were enumerated")
+
+    monkeypatch.setattr(paretogames.determined, "check_determinacy", no_enumeration)
+    p = tmp_path / "chain.json"
+    save_game(p2_chain_game(61), p)
+    start = time.perf_counter()
+    got = [
+        run(capsys, "query", str(p), "--state", "s0", f"--point={point}")[:2]
+        for point in ("-19,-29", "-18,-29")
+    ]
+    assert got == [(0, "yes\n"), (0, "no\n")]
+    assert time.perf_counter() - start < 10
+
+
+def test_query_has_no_mode_option(fig3_path):
+    with pytest.raises(SystemExit) as info:
+        main(["query", fig3_path, "--state", "s0", "--point=0,0", "--mode", "vi"])
+    assert info.value.code == 2
+
+
+def test_query_rejects_exponent_notation(heating_path, capsys):
+    code, out, err = run(
+        capsys, "query", heating_path, "--state", "HH1", "--point=1e10000000,0"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ValueError: exponent notation is not accepted: '1e10000000'\n"
+    )
 
 
 def test_solve_determined_always_reports_not_determined(tmp_path, capsys):
@@ -674,3 +752,24 @@ def test_unexpected_exception_is_an_internal_error(heating_path, capsys, monkeyp
     code, out, err = run(capsys, "validate", heating_path)
     assert code == 4 and out == ""
     assert err == "error: internal: RuntimeError: deliberately broken\n"
+
+
+# ---------------------------------------------------------------------------
+# README command table
+
+
+def _help(capsys, *argv) -> str:
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_readme_command_table_matches_the_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `paretogames (\S+)([^`]*)` \|", readme, re.M)
+    subcommands = re.search(r"\{([\w,-]+)\}", _help(capsys)).group(1)
+    assert sorted(sub for sub, _ in rows) == sorted(subcommands.split(","))
+    for sub, usage in rows:
+        flags = set(re.findall(r"--[\w-]+", _help(capsys, sub)))
+        for flag in re.findall(r"--[\w-]+", usage):
+            assert flag in flags, (sub, flag)

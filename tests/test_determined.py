@@ -6,12 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of
+import paretogames.determined
+from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of, p2_chain_game
 from paretogames import (
     Game,
     Kind,
+    NonPositiveEpsilon,
     NotStopping,
     StateRecord,
+    certified_curves,
     check_determinacy,
     check_fixpoint,
     contains,
@@ -228,3 +231,62 @@ def test_determinacy_verdicts_and_curves_are_pinned(heating, fig3):
     assert digest.hexdigest() == (
         "17bbc34b030e1b83adda075a3e54682260c1e32ce04e9cdcf600941e5f6c2b08"
     )
+
+
+# ---------------------------------------------------------------------------
+# certified_curves
+
+
+def test_certified_curves_are_exact_on_random_stopping_games():
+    nondetermined = []
+    for max_states in (8, 12):
+        for seed in range(150):
+            g = random_stopping_game(seed, max_states=max_states)
+            curves, residual = certified_curves(g, F(1, 1000), 10000)
+            assert residual == 0 and check_fixpoint(g, curves), (max_states, seed)
+            determined, enumerated = check_determinacy(g)
+            if determined:
+                assert curves == enumerated, (max_states, seed)
+            else:
+                nondetermined.append((max_states, seed))
+    assert nondetermined == [(8, 0), (8, 29), (12, 85), (12, 144)]
+
+
+@pytest.mark.parametrize("n, enumerated", [(11, True), (12, False)])
+def test_certified_curves_enumerate_up_to_the_strategy_limit(
+    monkeypatch, n, enumerated
+):
+    g = p2_chain_game(n)
+    strategies = sum(1 for _ in enumerate_md_strategies(g))
+    assert strategies == 2 ** (n - 1)
+    limit = paretogames.determined.MAX_ENUMERATED_STRATEGIES
+    assert (strategies <= limit) == enumerated
+    ran = []
+
+    def spy(f):
+        return lambda *args: ran.append(f.__name__) or f(*args)
+
+    for f in (check_determinacy, value_iterate):
+        monkeypatch.setattr(paretogames.determined, f.__name__, spy(f))
+    curves, residual = certified_curves(g, F(1, 1000), 10000)
+    assert residual == 0 and check_fixpoint(g, curves)
+    assert ran == (["check_determinacy"] if enumerated else ["value_iterate"])
+
+
+@pytest.mark.parametrize(
+    "epsilon, max_iters, error, message",
+    [
+        (F(1, 1000), 0, ValueError, "max_iters must be >= 1, got 0"),
+        (0, 10000, NonPositiveEpsilon, "epsilon must be > 0, got 0"),
+        ("-1/2", 10000, NonPositiveEpsilon, "epsilon must be > 0, got -1/2"),
+    ],
+)
+def test_certified_curves_reject_bad_options_before_any_work(
+    heating, monkeypatch, epsilon, max_iters, error, message
+):
+    def no_work(*args):
+        raise AssertionError("solver ran")
+
+    monkeypatch.setattr(paretogames.determined, "check_determinacy", no_work)
+    with pytest.raises(error, match=message):
+        certified_curves(heating, epsilon, max_iters)

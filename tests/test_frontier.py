@@ -511,6 +511,11 @@ def test_csv_round_trip(points):
         ("0,1\n1/2,x\n", "line 2: '1/2,x': Invalid literal for Fraction: 'x'"),
         ("\n0,1\n\n1/0,2\n", "line 4: '1/0,2': zero denominator in '1/0'"),
         (
+            "1e10000000,0\n",
+            "line 1: '1e10000000,0': exponent notation is not accepted: "
+            "'1e10000000'",
+        ),
+        (
             "7\n",
             "line 1: '7': a point needs exactly two coordinates, got ['7']",
         ),

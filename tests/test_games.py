@@ -339,6 +339,10 @@ def _one_state_json(kind: str = "p1", prob=1) -> dict:
             "float coordinates are not accepted; pass Fraction, int, or 'p/q' string",
         ),
         (_one_state_json(prob="1/0"), "zero denominator in '1/0'"),
+        (
+            _one_state_json(prob="1e10000000"),
+            "exponent notation is not accepted: '1e10000000'",
+        ),
     ],
 )
 def test_malformed_game_json_names_the_fault(data, detail):
