@@ -17,10 +17,13 @@ Eve vertices because the best successor beats the weight-average, at Adam
 vertices because every successor strictly descends a — which yields the
 step-bounded reachability guarantee that the simulator checks per step.
 
-W and its powers W^0 ... W^|V| are derived once per arena and cached on
-it; ``potential`` alone evaluates p, and ``_step_gain`` alone the gain per
-step.  A play validates its arena once, in ``attractor``, before any other
-work, and then trusts it.
+Every fact of an arena is derived once and cached on it: W, its powers
+W^0 ... W^|V| and the gain per step; and, per target set, the attractor
+with the offsets W^a(v) - W^|V|, so ``potential`` is one addition.  An
+arena is validated once per target set, when ``attractor`` first computes
+that set's result, and then trusted by every play; the cached result is
+read-only, as every play shares it.  Each play still checks every step
+exactly: the valuation, Adam's successor and the potential increment.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import (
@@ -64,7 +68,7 @@ class BetVertex:
             tuple((str(t), as_fraction(w)) for t, w in self.edges),
         )
 
-    @property
+    @cached_property
     def successors(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.edges)
 
@@ -102,10 +106,24 @@ class BettingGame:
         return min(w for v in self.vertices for _, w in v.edges)
 
     @cached_property
+    def _id_set(self) -> frozenset[str]:
+        return frozenset(self._by_id)  # type: ignore[attr-defined]
+
+    @cached_property
     def _w_powers(self) -> tuple[Fraction, ...]:
         """W^0, W^1, ..., W^|V|."""
         w = self.min_weight
         return tuple(w**k for k in range(len(self.vertices) + 1))
+
+    @cached_property
+    def _step_gain(self) -> Fraction:
+        """W^|V| - W^(|V|+1): the least potential increase per non-target step."""
+        return self._w_powers[-1] * (1 - self.min_weight)
+
+    @cached_property
+    def _attractors(self) -> dict[frozenset[str], AttractorResult]:
+        """``attractor``'s results by target set."""
+        return {}
 
 
 def validate_betting(bg: BettingGame) -> tuple[str, ...]:
@@ -148,9 +166,12 @@ def require_valid_betting(bg: BettingGame) -> None:
 
 @dataclass(frozen=True)
 class AttractorResult:
+    """Shared by every play on its arena, so its mappings are read-only."""
+
     winning: frozenset[str]
-    sigma: dict[str, str]  # Eve vertex in winning minus T -> successor
-    a: dict[str, int]  # winning vertex -> longest guided target-avoiding path
+    sigma: Mapping[str, str]  # Eve vertex in winning minus T -> successor
+    a: Mapping[str, int]  # winning vertex -> longest guided target-avoiding path
+    offsets: Mapping[str, Fraction]  # winning vertex -> W^a(v) - W^|V|
 
 
 def attractor(bg: BettingGame, T: Iterable[str]) -> AttractorResult:
@@ -161,9 +182,20 @@ def attractor(bg: BettingGame, T: Iterable[str]) -> AttractorResult:
     some successor inside" / "Adam vertex with all successors inside"; sigma
     sends each winning Eve vertex to a successor one layer closer to T;
     a(v) = 0 on T, 1 + a(sigma(v)) at Eve vertices, 1 + max over successors
-    at Adam vertices — bounded by the vertex count."""
+    at Adam vertices — bounded by the vertex count.
+
+    Computed once per arena and target set, and cached on the arena.  Only
+    a result is cached: an invalid arena or an unknown target raises on
+    every call."""
+    key = frozenset(T)
+    res = bg._attractors.get(key)
+    if res is None:
+        res = bg._attractors[key] = _compute_attractor(bg, key)
+    return res
+
+
+def _compute_attractor(bg: BettingGame, targets: frozenset[str]) -> AttractorResult:
     require_valid_betting(bg)
-    targets = set(T)
     for t in targets:
         bg.vertex(t)
     layer: dict[str, int] = {t: 0 for t in targets}
@@ -194,8 +226,13 @@ def attractor(bg: BettingGame, T: Iterable[str]) -> AttractorResult:
                 a[vid] = 1 + a[sigma[vid]]
             else:
                 a[vid] = 1 + max(a[t] for t in v.successors)
+    powers = bg._w_powers
+    offsets = {vid: powers[k] - powers[-1] for vid, k in a.items()}
     return AttractorResult(
-        winning=frozenset(layer), sigma=sigma, a=a
+        winning=frozenset(layer),
+        sigma=MappingProxyType(sigma),
+        a=MappingProxyType(a),
+        offsets=MappingProxyType(offsets),
     )
 
 
@@ -204,11 +241,12 @@ def attractor(bg: BettingGame, T: Iterable[str]) -> AttractorResult:
 
 
 def potential(bg: BettingGame, attr: AttractorResult, config: BettingConfig) -> Fraction:
-    """p(v, c) = c + W^a(v) - W^|V| (requires v in the winning set)."""
-    if config.vertex not in attr.a:
-        raise NotWinningVertex(f"{config.vertex} is outside the winning set")
-    powers = bg._w_powers
-    return config.credit + powers[attr.a[config.vertex]] - powers[-1]
+    """p(v, c) = c + W^a(v) - W^|V| (requires v in the winning set of
+    ``attr``, which holds the offset W^a(v) - W^|V| of ``bg``)."""
+    try:
+        return config.credit + attr.offsets[config.vertex]
+    except KeyError:
+        raise NotWinningVertex(f"{config.vertex} is outside the winning set") from None
 
 
 def _check_valuation(
@@ -421,14 +459,9 @@ class Trace:
     step_bound: int
 
 
-def _step_gain(bg: BettingGame) -> Fraction:
-    """W^|V| - W^(|V|+1): the least potential increase per non-target step."""
-    return bg._w_powers[-1] * (1 - bg.min_weight)
-
-
 def step_bound(bg: BettingGame, B: RationalLike) -> int:
     """ceil((B + W^|V|) / (W^|V| - W^(|V|+1))), from the potential growth."""
-    return math.ceil((as_fraction(B) + bg._w_powers[-1]) / _step_gain(bg))
+    return math.ceil((as_fraction(B) + bg._w_powers[-1]) / bg._step_gain)
 
 
 def simulate(
@@ -451,17 +484,17 @@ def simulate(
     ends there as if the step limit were hit."""
     targets = frozenset(T)
     attr = attractor(bg, targets)
-    if attr.winning != set(bg.vertex_ids):
+    if attr.winning != bg._id_set:
         raise HypothesisViolated(
             "the bettor must win from every vertex; losing: "
-            + ", ".join(sorted(set(bg.vertex_ids) - attr.winning))
+            + ", ".join(sorted(bg._id_set - attr.winning))
         )
     B = as_fraction(B)
     bound = step_bound(bg, B)
     limit = bound if max_steps is None else max_steps
     adam.prepare(bg, targets, attr)
 
-    delta = _step_gain(bg)
+    delta = bg._step_gain
     c0 = bg.initial.credit
     config = bg.initial
     steps = [TraceStep(0, config.vertex, config.credit, potential(bg, attr, config))]

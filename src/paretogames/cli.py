@@ -198,6 +198,7 @@ def _cmd_solve_determined(args) -> int:
 
 def _cmd_query(args) -> int:
     g = load_game(args.game)
+    g.state(args.state)
     z = _parse_point(args.point)
     curves, residual = certified_curves(g, as_fraction(args.epsilon), args.max_iters)
     print(achievable_within(g, args.state, z, curves, residual))

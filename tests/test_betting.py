@@ -32,6 +32,7 @@ from paretogames import (
     ScriptedAdam,
     StarveAdam,
     StepBoundExceeded,
+    UnknownState,
     attractor,
     betting_from_json,
     betting_to_json,
@@ -159,6 +160,37 @@ def test_attractor_two_layers():
     assert res.winning == {"t", "u", "v"}
     assert res.sigma["v"] == "t"
     assert res.a == {"t": 0, "v": 1, "u": 2}
+
+
+def test_attractor_is_cached_per_target_set_and_read_only():
+    bg = tiny_arena()
+    res = attractor(bg, {"t1", "t2"})
+    assert attractor(bg, ["t2", "t1"]) is res
+    assert attractor(bg, {"t1"}) is not res
+    with pytest.raises(TypeError):
+        res.a["v"] = 0
+    with pytest.raises(TypeError):
+        res.sigma["v"] = "t2"
+    with pytest.raises(TypeError):
+        res.offsets["v"] = F(0)
+    assert attractor(bg, {"t1", "t2"}).a == {"t1": 0, "t2": 0, "v": 1}
+
+
+def test_invalid_arena_raises_on_every_call():
+    bg = BettingGame(
+        (bv("a", "eve", "a", F(1, 2), "a", F(1, 2)),),
+        BettingConfig("a", F(0)),
+    )
+    for _ in range(2):
+        with pytest.raises(InvalidBettingGame):
+            attractor(bg, {"a"})
+
+
+def test_unknown_target_raises_on_every_call():
+    bg = tiny_arena()
+    for _ in range(2):
+        with pytest.raises(UnknownState):
+            attractor(bg, {"t1", "nowhere"})
 
 
 def test_attractor_guide_descends_on_random_arenas():
@@ -332,6 +364,33 @@ def test_simulate_validates_the_arena_once(monkeypatch):
     monkeypatch.setattr(betting, "validate_betting", counting)
     simulate(tiny_arena(), {"t1", "t2"}, 100, EqualSplitAdam())
     assert len(calls) == 1
+
+
+def test_plays_on_one_arena_validate_it_once_per_target_set(monkeypatch):
+    validations = []
+    computed = []
+    real_validate = betting.validate_betting
+    real_compute = betting._compute_attractor
+
+    def counting_validate(bg):
+        validations.append(bg)
+        return real_validate(bg)
+
+    def counting_compute(bg, targets):
+        computed.append(targets)
+        return real_compute(bg, targets)
+
+    monkeypatch.setattr(betting, "validate_betting", counting_validate)
+    monkeypatch.setattr(betting, "_compute_attractor", counting_compute)
+    bg = tiny_arena()
+    for factory in ADAM_FACTORIES.values():
+        for seed in range(5):
+            simulate(bg, {"t1", "t2"}, 100, factory(seed))
+    assert len(validations) == 1
+    assert computed == [frozenset({"t1", "t2"})]
+    simulate(bg, {"t1"}, 100, EqualSplitAdam())
+    assert len(validations) == 2
+    assert computed == [frozenset({"t1", "t2"}), frozenset({"t1"})]
 
 
 def test_simulate_rejects_an_arena_without_edges_before_reading_w():

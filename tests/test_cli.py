@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import time
@@ -19,6 +21,7 @@ from paretogames import (
     save_game,
     value_iterate,
 )
+import paretogames.cli
 import paretogames.determined
 from paretogames.cli import main
 from conftest import p2_chain_game, three_successor_game
@@ -493,7 +496,12 @@ def test_check_determinacy_flag_is_not_in_help(capsys):
     assert "--check-determinacy" not in capsys.readouterr().out
 
 
-def test_query_unknown_state_is_input_error(fig3_path, capsys):
+def test_query_unknown_state_is_input_error(fig3_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("certified_curves ran")
+
+    # the state is looked up before any solving
+    monkeypatch.setattr(paretogames.cli, "certified_curves", no_solve)
     code, _, err = run(
         capsys,
         "query",
@@ -773,3 +781,21 @@ def test_readme_command_table_matches_the_parser(capsys):
         flags = set(re.findall(r"--[\w-]+", _help(capsys, sub)))
         for flag in re.findall(r"--[\w-]+", usage):
             assert flag in flags, (sub, flag)
+
+
+def test_no_output_bypasses_sys_stdout(
+    fig3_path, heating_path, betting_path, tmp_path, capfd
+):
+    path, targets = betting_path
+    commands = [
+        (["solve-vi", fig3_path, "--out-dir", str(tmp_path / "vi")], "converged="),
+        (["solve-determined", heating_path], "determined: "),
+        (["betting-sim", path, "--target", targets, "--runs", "2"], "all 2 runs"),
+    ]
+    for argv, last in commands:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(argv)
+        assert code == 0
+        assert buffer.getvalue().splitlines()[-1].startswith(last)
+        assert capfd.readouterr().out == ""
