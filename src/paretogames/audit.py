@@ -3,7 +3,9 @@
 Every non-terminal state's curve is related to its successors' curves by one
 operator application (union-hull for maximizer states, pointwise-min for
 minimizer states, weighted Minkowski sum for chance states, plus the reward
-shift).  These relations leave slope fingerprints:
+shift).  Every relation auditor takes the parent before the reward shift;
+``audit_game`` undoes each state's shift once and then dispatches by kind.
+These relations leave slope fingerprints:
 
 * a curve is a strictly concave, strictly decreasing polyline;
 * a maximizer parent's slopes are sandwiched between its successors' slopes,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import InvariantBroken, RelationMismatch
 from .frontier import (
@@ -33,7 +35,6 @@ from .frontier import (
     PointsLike,
     Point,
     as_fraction,
-    as_point,
     dwc_conv_union,
     evaluate,
     intersect_min,
@@ -94,8 +95,8 @@ class AuditReport:
 class _Collector:
     """Accumulates findings and counts every executed check."""
 
-    def __init__(self, where: str = ""):
-        self.where = where
+    def __init__(self) -> None:
+        self.where = ""
         self.findings: list[AuditFinding] = []
         self.checks = 0
 
@@ -130,8 +131,7 @@ def audit_frontier(f: PointsLike) -> AuditReport:
     """
     col = _Collector()
     verts = _vertices_of(f)
-    if not col.check(bool(verts), "empty", "a frontier needs at least one vertex"):
-        return col.report()
+    col.check(bool(verts), "empty", "a frontier needs at least one vertex")
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
         col.check(
             x0 < x1, "x not increasing", f"x {x0} then {x1} (with y {y0}, {y1})"
@@ -146,30 +146,6 @@ def audit_frontier(f: PointsLike) -> AuditReport:
             cr < 0,
             "slope not strictly decreasing",
             f"{a}, {b}, {c} are collinear or convex (cross {cr})",
-        )
-    if col.findings:
-        return col.report()  # slope sampling needs a well-formed polyline
-
-    fr = f if isinstance(f, Frontier) else Frontier(verts)
-    # Sample points: one inside the flat ray, every vertex, every segment
-    # midpoint.  Between consecutive samples with different left slopes there
-    # must be an extremal point; consecutive coverage extends to any pair.
-    xs: list[Fraction] = [fr.x_first - 1]
-    for (x0, _), (x1, _) in zip(fr.vertices, fr.vertices[1:]):
-        xs.append(x0)
-        xs.append((x0 + x1) / 2)
-    xs.append(fr.x_last)
-    extremal_xs = [x for x, _ in fr.vertices]
-    for xa, xb in zip(xs, xs[1:]):
-        la, _ = slope_at(fr, xa)
-        lb, _ = slope_at(fr, xb)
-        if la == lb:
-            col.checks += 1
-            continue
-        col.check(
-            any(xa <= e <= xb for e in extremal_xs),
-            "no extremal point between slope change",
-            f"lslope {la} at x={xa} vs {lb} at x={xb} with no vertex between",
         )
     return col.report()
 
@@ -219,53 +195,47 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# Minimizer relation: parent = pointwise minimum, shifted by the reward
+# Minimizer relation: parent = pointwise minimum
 
 
-def audit_p2(
-    parent: Frontier,
-    succ1: Frontier,
-    succ2: Frontier,
-    reward: Sequence,
-) -> AuditReport:
-    """Slope laws of the pointwise-min relation (parent reward-shifted).
+def audit_p2(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
+    """Slope laws of the pointwise-min relation (parent before the reward shift).
 
-    At each parent vertex, compared at the un-shifted x: where one successor
-    is strictly lower its slopes pass through to the parent; where they are
+    Raises RelationMismatch unless parent is exactly the pointwise minimum
+    of the two successors.  At each parent vertex: where one successor is
+    strictly lower its slopes pass through to the parent; where they are
     equal the parent takes the max of left slopes and the min of right
     slopes.  At the truncation vertex (x = min of the successors' x_last) the
     right slope is the vertical ray, contributed by the shorter successor
     even when the other is strictly lower, so the min law applies there.
     """
-    rx, ry = as_point(reward)
-    expected = translate(intersect_min(succ1, succ2), (rx, ry))
+    expected = intersect_min(succ1, succ2)
     if parent != expected:
         raise RelationMismatch(
-            f"parent {parent} is not the shifted pointwise-min {expected} of "
-            f"{succ1} and {succ2} with reward ({rx},{ry})"
+            f"parent {parent} is not the pointwise-min {expected} of "
+            f"{succ1} and {succ2}"
         )
     col = _Collector()
     x_cap = min(succ1.x_last, succ2.x_last)
     for x, _y in parent.vertices:
-        x0 = x - rx
-        y1 = evaluate(succ1, x0)
-        y2 = evaluate(succ2, x0)
-        if y1 is None or y2 is None:  # x0 <= x_cap by construction
-            raise InvariantBroken(f"x={x0} lies beyond x_cap={x_cap}")
+        y1 = evaluate(succ1, x)
+        y2 = evaluate(succ2, x)
+        if y1 is None or y2 is None:  # x <= x_cap by construction
+            raise InvariantBroken(f"x={x} lies beyond x_cap={x_cap}")
         l0, r0 = slope_at(parent, x)
-        l1, r1 = slope_at(succ1, x0)
-        l2, r2 = slope_at(succ2, x0)
+        l1, r1 = slope_at(succ1, x)
+        l2, r2 = slope_at(succ2, x)
         if y1 == y2:
             col.check(
                 l0 == max(l1, l2),
                 "lslope not max at equality",
-                f"at x={x0}: parent {_fmt_slope(l0)} != "
+                f"at x={x}: parent {_fmt_slope(l0)} != "
                 f"max({_fmt_slope(l1)}, {_fmt_slope(l2)})",
             )
             col.check(
                 r0 == min(r1, r2),
                 "rslope not min at equality",
-                f"at x={x0}: parent {_fmt_slope(r0)} != "
+                f"at x={x}: parent {_fmt_slope(r0)} != "
                 f"min({_fmt_slope(r1)}, {_fmt_slope(r2)})",
             )
             continue
@@ -273,20 +243,20 @@ def audit_p2(
         col.check(
             l0 == ll,
             "lslope not the lower curve's",
-            f"at x={x0}: parent {_fmt_slope(l0)} != lower {_fmt_slope(ll)}",
+            f"at x={x}: parent {_fmt_slope(l0)} != lower {_fmt_slope(ll)}",
         )
-        if x0 == x_cap:
+        if x == x_cap:
             col.check(
                 r0 == min(r1, r2),
                 "rslope not min at truncation",
-                f"at x={x0}: parent {_fmt_slope(r0)} != "
+                f"at x={x}: parent {_fmt_slope(r0)} != "
                 f"min({_fmt_slope(r1)}, {_fmt_slope(r2)})",
             )
         else:
             col.check(
                 r0 == rl,
                 "rslope not the lower curve's",
-                f"at x={x0}: parent {_fmt_slope(r0)} != lower {_fmt_slope(rl)}",
+                f"at x={x}: parent {_fmt_slope(r0)} != lower {_fmt_slope(rl)}",
             )
     return col.report()
 
@@ -338,7 +308,6 @@ def audit_chance(
         m = _interior_direction(p, parent, succ1, succ2)
         w = (-m, Fraction(1))
         parts: list[Point] = []
-        unique = True
         for f in (succ1, succ2):
             scored = [(w[0] * vx + w[1] * vy, (vx, vy)) for vx, vy in f.vertices]
             best = max(s for s, _ in scored)
@@ -348,10 +317,9 @@ def audit_chance(
                 "maximizer not unique",
                 f"direction ({w[0]},1) ties {arg} on {f}",
             ):
-                unique = False
                 break
             parts.append(arg[0])
-        if not unique:
+        if len(parts) < 2:
             continue
         q, r = parts
         combo = (p1 * q[0] + p2 * r[0], p1 * q[1] + p2 * r[1])
@@ -376,10 +344,6 @@ def audit_chance(
 # Whole-game audit
 
 
-def _neg(v: Point) -> Point:
-    return (-v[0], -v[1])
-
-
 def audit_game(
     g: Game,
     curves: Mapping[str, Frontier],
@@ -395,6 +359,10 @@ def audit_game(
     read the way an in-place sweep produced ``curves`` from ``prev``: a
     successor listed before the state contributes its updated curve, one
     listed at or after it contributes its previous curve.
+
+    Each state's curve is shifted back by its reward once; a state with one
+    successor must then equal that successor's curve, and the others go to
+    the relation auditor of their kind.
     """
     invalid = validate_game(g).violations
     if invalid:
@@ -404,8 +372,7 @@ def audit_game(
             checks_run=1,
         )
     position = {s.id: i for i, s in enumerate(g.states)}
-    findings: list[AuditFinding] = []
-    checks = 0
+    col = _Collector()
 
     def succ_curve(state_pos: int, target: str) -> Frontier | None:
         if target not in curves or (prev is not None and target not in prev):
@@ -417,54 +384,41 @@ def audit_game(
     for i, s in enumerate(g.states):
         if s.kind is Kind.TERMINAL:
             continue
-        checks += 1
-        if s.id not in curves:
-            findings.append(
-                AuditFinding(s.id, "missing curve", "state has no curve entry")
-            )
-            continue
-        parent = curves[s.id]
-        succs = [succ_curve(i, t) for t, _ in s.transitions]
-        if any(f is None for f in succs):
-            missing = [t for (t, _), f in zip(s.transitions, succs) if f is None]
-            findings.append(
+        col.where = s.id
+        col.checks += 1
+        succs = [succ_curve(i, t) for t in s.successors]
+        missing = [t for t, f in zip(s.successors, succs) if f is None]
+        if s.id not in curves or missing:
+            col.findings.append(
                 AuditFinding(
-                    s.id, "missing curve", f"successors {missing} have no curve"
+                    s.id,
+                    "missing curve",
+                    f"successors {missing} have no curve"
+                    if s.id in curves
+                    else "state has no curve entry",
                 )
             )
             continue
-        reward = s.reward
-        try:
-            if len(succs) == 1:
-                checks += 1
-                expected = translate(succs[0], reward)
-                if parent != expected:
-                    findings.append(
-                        AuditFinding(
-                            s.id,
-                            "single-successor mismatch",
-                            f"{parent} != shifted successor {expected}",
-                        )
-                    )
-                continue
-            if s.kind is Kind.P1:
-                sub = audit_p1(translate(parent, _neg(reward)), succs[0], succs[1])
-            elif s.kind is Kind.P2:
-                sub = audit_p2(parent, succs[0], succs[1], reward)
-            else:  # chance
-                probs = [p for _, p in s.transitions]
-                sub = audit_chance(
-                    translate(parent, _neg(reward)),
-                    succs[0],
-                    succs[1],
-                    probs[0],
-                    probs[1],
-                )
-        except RelationMismatch as exc:
-            findings.append(AuditFinding(s.id, "relation mismatch", str(exc)))
+        parent = translate(curves[s.id], (-s.reward[0], -s.reward[1]))
+        if len(succs) == 1:
+            col.check(
+                parent == succs[0],
+                "single-successor mismatch",
+                f"{parent} != successor {succs[0]}",
+            )
             continue
-        checks += sub.checks_run
-        findings.extend(
+        try:
+            if s.kind is Kind.P1:
+                sub = audit_p1(parent, *succs)
+            elif s.kind is Kind.P2:
+                sub = audit_p2(parent, *succs)
+            else:  # chance
+                sub = audit_chance(parent, *succs, *(p for _, p in s.transitions))
+        except RelationMismatch as exc:
+            col.findings.append(AuditFinding(s.id, "relation mismatch", str(exc)))
+            continue
+        col.checks += sub.checks_run
+        col.findings.extend(
             AuditFinding(s.id, f.check, f.detail) for f in sub.findings
         )
-    return AuditReport(ok=not findings, findings=tuple(findings), checks_run=checks)
+    return col.report()

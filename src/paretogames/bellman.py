@@ -134,10 +134,19 @@ def bellman_step(g: Game, x: Mapping[str, Frontier]) -> CurveMap:
     return {s.id: _state_update(s, x) for s in g.states}
 
 
+def _fixed_at_every_state(g: Game, v: Mapping[str, Frontier]) -> bool:
+    """True iff every state's update reproduces its curve in ``v``; stops
+    at the first state, in listed order, where it does not."""
+    return all(_state_update(s, v) == v[s.id] for s in g.states)
+
+
 def check_fixpoint(g: Game, v: Mapping[str, Frontier]) -> bool:
-    """True iff one simultaneous step reproduces ``v`` exactly."""
-    stepped = bellman_step(g, v)
-    return all(stepped[sid] == v[sid] for sid in stepped)
+    """True iff one simultaneous step reproduces ``v`` exactly.  ``g`` and
+    the completeness of ``v`` are checked once; the states are then compared
+    in listed order, up to the first one that differs."""
+    require_valid(g)
+    _require_complete(g, v)
+    return _fixed_at_every_state(g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +254,7 @@ def _snap(g: Game, curves: CurveMap, n: int) -> CurveMap | None:
     states rather than a sweep."""
     for k in range(1, n.bit_length() + 1):
         candidate = _Snapped(curves, 10**k)
-        if all(_state_update(s, candidate) == candidate[s.id] for s in g.states):
+        if _fixed_at_every_state(g, candidate):
             return {s.id: candidate[s.id] for s in g.states}
     return None
 

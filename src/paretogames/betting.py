@@ -48,6 +48,7 @@ from .errors import (
     UnknownState,
 )
 from .frontier import RationalLike, as_fraction, fraction_str
+from .games import _string_id
 
 
 class BetKind:
@@ -582,17 +583,18 @@ def betting_from_json(data: Mapping) -> BettingGame:
     try:
         vertices = tuple(
             BetVertex(
-                id=rec["id"],
+                id=_string_id(rec["id"], "vertex id"),
                 kind=rec["kind"],
-                edges=tuple((e["to"], e["weight"]) for e in rec["transitions"]),
+                edges=tuple(
+                    (_string_id(e["to"], "edge target"), e["weight"])
+                    for e in rec["transitions"]
+                ),
             )
             for rec in data["states"]
         )
         init = data["initial"]
-        return BettingGame(
-            vertices=vertices,
-            initial=BettingConfig(init["vertex"], init["credit"]),
-        )
+        vertex = _string_id(init["vertex"], "initial vertex")
+        return BettingGame(vertices, BettingConfig(vertex, init["credit"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidBettingGame(f"malformed betting game: {exc}") from exc
 

@@ -214,6 +214,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_betting_sim(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     bg = load_betting(args.betting)
     targets = frozenset(t.strip() for t in args.target.split(",") if t.strip())
     bound = as_fraction(args.bound)

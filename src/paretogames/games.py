@@ -407,23 +407,30 @@ def game_to_json(g: Game) -> dict:
     return {"initial": g.initial, "states": states}
 
 
+def _string_id(value: object, what: str) -> str:
+    """``value`` itself if it is a string: the loaders take no other id."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def game_from_json(data: Mapping) -> Game:
     try:
         states = []
         for rec in data["states"]:
             transitions = tuple(
-                (edge["to"], edge.get("prob", 1))
+                (_string_id(edge["to"], "transition target"), edge.get("prob", 1))
                 for edge in rec.get("transitions", ())
             )
             states.append(
                 StateRecord(
-                    id=rec["id"],
+                    id=_string_id(rec["id"], "state id"),
                     kind=rec["kind"],
                     reward=rec["reward"],
                     transitions=transitions,
                 )
             )
-        return Game(initial=data["initial"], states=tuple(states))
+        return Game(_string_id(data["initial"], "initial state"), tuple(states))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGame(f"malformed game description: {exc}") from exc
 

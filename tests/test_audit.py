@@ -18,6 +18,7 @@ from paretogames import (
     audit_p2,
     canonicalize,
     iterates,
+    make_game,
     translate,
     validate_game,
     value_iterate,
@@ -102,18 +103,18 @@ def test_p1_rejects_unrelated_curves():
 
 
 def test_p2_heating_tuple():
+    # HC2's curve (-1,-1), (0,-2) before its reward shift (0,-1).
     rep = audit_p2(
-        fr((-1, -1), (0, -2)),
+        fr((-1, 0), (0, -1)),
         fr((F(-1, 2), 0), (0, F(-1, 2))),
         fr((-1, 0), (0, -1)),
-        (F(0), F(-1)),
     )
     assert rep.ok
 
 
 def test_p2_identical_successors():
     f = fr((-1, 0), (0, -1))
-    rep = audit_p2(f, f, f, (F(0), F(0)))
+    rep = audit_p2(f, f, f)
     assert rep.ok
 
 
@@ -121,7 +122,7 @@ def test_p2_crossing_segments():
     s1 = fr((0, 4), (4, 0))
     s2 = fr((-2, 6), (4, -6))
     parent = fr((-1, 4), (4, -6))
-    rep = audit_p2(parent, s1, s2, (F(0), F(0)))
+    rep = audit_p2(parent, s1, s2)
     assert rep.ok
 
 
@@ -129,13 +130,13 @@ def test_p2_truncation_by_shorter_curve():
     s1 = fr((0, 0), (5, -10))
     s2 = fr((1, 3))
     parent = fr((0, 0), (1, -2))
-    rep = audit_p2(parent, s1, s2, (F(0), F(0)))
+    rep = audit_p2(parent, s1, s2)
     assert rep.ok
 
 
 def test_p2_rejects_unrelated_curves():
     with pytest.raises(RelationMismatch):
-        audit_p2(fr((5, 5)), fr((0, 1)), fr((1, 0)), (F(0), F(0)))
+        audit_p2(fr((5, 5)), fr((0, 1)), fr((1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ def test_pairwise_audits_on_random_frontiers():
         from paretogames import dwc_conv_union, intersect_min
 
         assert audit_p1(dwc_conv_union(f1, f2), f1, f2).ok
-        assert audit_p2(intersect_min(f1, f2), f1, f2, (F(0), F(0))).ok
+        assert audit_p2(intersect_min(f1, f2), f1, f2).ok
         p = rng.choice([F(1, 2), F(1, 3), F(3, 4)])
         parent = weighted_sum([(p, f1), (1 - p, f2)])
         assert audit_chance(parent, f1, f2, p, 1 - p).ok
@@ -225,6 +226,29 @@ def test_corrupted_family_is_caught(heating):
     rep = audit_game(heating, fam)
     assert not rep.ok
     assert any("CC1" in f.where for f in rep.findings)
+
+
+def test_single_successor_mismatch_is_caught():
+    g = make_game(
+        "s",
+        [
+            ("s", "p2", (1, 2), [("t", 1)]),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    fam = {"s": fr((1, 2)), "t": fr((0, 0))}
+    clean = audit_game(g, fam)
+    assert clean.ok and clean.checks_run == 2
+    fam["s"] = fr((1, 3))
+    rep = audit_game(g, fam)
+    assert rep.checks_run == 2
+    assert rep.findings == (
+        AuditFinding(
+            "s",
+            "single-successor mismatch",
+            "Frontier[(0,1)] != successor Frontier[(0,0)]",
+        ),
+    )
 
 
 def test_missing_curve_is_reported(fig3):

@@ -367,6 +367,22 @@ def test_fig3_family_is_fixpoint(fig3):
     assert check_fixpoint(fig3, exact_map(FIG3_EXACT))
 
 
+def test_check_fixpoint_stops_at_the_first_unmet_state(heating, monkeypatch):
+    fam = exact_map(HEATING_EXACT)
+    first = heating.states[0].id
+    fam[first] = translate(fam[first], (1, 0))
+    calls = []
+    update = paretogames.bellman._state_update
+
+    def counted(s, x):
+        calls.append(s.id)
+        return update(s, x)
+
+    monkeypatch.setattr(paretogames.bellman, "_state_update", counted)
+    assert not check_fixpoint(heating, fam)
+    assert calls == [first]
+
+
 # ---------------------------------------------------------------------------
 # tail_bound
 

@@ -28,6 +28,7 @@ from paretogames import (
     HypothesisViolated,
     InvalidBettingGame,
     InvalidValuation,
+    NotWinningVertex,
     RandomAdam,
     ScriptedAdam,
     StarveAdam,
@@ -83,6 +84,39 @@ def test_vertices_need_two_distinct_successors():
         BettingConfig("a", F(0)),
     )
     assert validate_betting(bad)
+
+
+_V = bv("v", "eve", "t1", F(1, 2), "t2", F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "vs, initial, violations",
+    [
+        ([_V, _V], "v", ("v: duplicate vertex id",)),
+        (
+            [bv("v", "bob", "t1", F(1, 2), "t2", F(1, 2))],
+            "v",
+            ("v: kind must be eve or adam, got 'bob'",),
+        ),
+        (
+            [bv("v", "eve", "t1", F(1, 2), "zz", F(1, 2))],
+            "v",
+            ("v: edge to unknown vertex 'zz'",),
+        ),
+        (
+            [bv("v", "eve", "t1", F(3, 2), "t2", F(-1, 2))],
+            "v",
+            ("v: weight 3/2 outside (0,1]", "v: weight -1/2 outside (0,1]"),
+        ),
+        ([_V], "zz", ("initial vertex 'zz' does not exist",)),
+    ],
+    ids=["duplicate-id", "bad-kind", "unknown-edge", "weight", "unknown-initial"],
+)
+def test_each_arena_violation_is_named(vs, initial, violations):
+    """tiny_arena with its vertex v replaced by ``vs``."""
+    _, t1, t2 = tiny_arena().vertices
+    bg = BettingGame((*vs, t1, t2), BettingConfig(initial, F(1)))
+    assert validate_betting(bg) == violations
 
 
 def test_json_round_trip():
@@ -343,6 +377,92 @@ def test_scripted_adversary_cheating_is_caught():
     adam = ScriptedAdam(valuations=[(F(1), F(3))])
     with pytest.raises(AdamCheated):
         simulate(bg, {"t1", "t2"}, 100, adam)
+
+
+def _adam_first() -> BettingGame:
+    """tiny_arena, started at its Adam vertex t2."""
+    return BettingGame(tiny_arena().vertices, BettingConfig("t2", F(1)))
+
+
+def _escape_arena() -> BettingGame:
+    """Adam circles u -> w -> u away from the target t, so only t wins, and
+    the Eve vertex e, whose successors are u and w, loses."""
+    return BettingGame(
+        (
+            bv("t", "eve", "u", F(1, 2), "w", F(1, 2)),
+            bv("u", "adam", "w", F(1, 2), "t", F(1, 2)),
+            bv("w", "adam", "u", F(1, 2), "t", F(1, 2)),
+            bv("e", "eve", "u", F(1, 2), "w", F(1, 2)),
+        ),
+        BettingConfig("e", F(1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "play, error, message",
+    [
+        (
+            lambda: simulate(_adam_first(), {"t1"}, 100, ScriptedAdam()),
+            AdamCheated,
+            "scripted adversary ran out of choices",
+        ),
+        (
+            lambda: simulate(_adam_first(), {"t1"}, 100, ScriptedAdam(choices=["v"])),
+            AdamCheated,
+            "scripted adversary ran out of valuations",
+        ),
+        (
+            lambda: simulate(
+                _adam_first(), {"t1"}, 100, ScriptedAdam(choices=["nowhere"])
+            ),
+            AdamCheated,
+            "t2: chose 'nowhere', not a successor",
+        ),
+        (
+            lambda: simulate(
+                tiny_arena(), {"t1", "t2"}, 100, ScriptedAdam([(-1, 3)])
+            ),
+            AdamCheated,
+            "bets must be >= 0, got (-1,3)",
+        ),
+        (
+            lambda: simulate(
+                tiny_arena(), {"t1", "t2"}, 100, ScriptedAdam([(1, 1, 1)])
+            ),
+            AdamCheated,
+            "valuation needs two entries, got 3",
+        ),
+        (
+            lambda: potential(
+                _escape_arena(),
+                attractor(_escape_arena(), {"t"}),
+                BettingConfig("u", F(1)),
+            ),
+            NotWinningVertex,
+            "u is outside the winning set",
+        ),
+        (
+            lambda: eve_move(
+                _escape_arena(), {"t"}, BettingConfig("e", F(1)), (F(1), F(1))
+            ),
+            NotWinningVertex,
+            "e is outside the winning set",
+        ),
+    ],
+    ids=[
+        "no-choice-left",
+        "no-valuation-left",
+        "not-a-successor",
+        "negative-bet",
+        "three-bets",
+        "potential-off-the-winning-set",
+        "eve-move-off-the-winning-set",
+    ],
+)
+def test_each_betting_guard_names_the_fault(play, error, message):
+    with pytest.raises(error) as info:
+        play()
+    assert str(info.value) == message
 
 
 def test_trace_csv_shape():

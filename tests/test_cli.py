@@ -678,6 +678,25 @@ def test_betting_sim_deterministic_given_seed(betting_path, capsys):
     assert first == second and first[0] == 0
 
 
+def test_betting_sim_rejects_runs_below_one(betting_path, tmp_path, capsys):
+    path, targets = betting_path
+    out_dir = tmp_path / "traces"
+    code, out, err = run(
+        capsys,
+        "betting-sim",
+        path,
+        "--target",
+        targets,
+        "--runs",
+        "-2",
+        "--out-dir",
+        str(out_dir),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: --runs must be at least 1, got -2\n"
+    assert not out_dir.exists()
+
+
 def test_betting_sim_rejects_unknown_target(betting_path, capsys):
     path, _ = betting_path
     code, _, err = run(

@@ -26,6 +26,7 @@ from paretogames import (
     policy_evaluate,
     require_valid,
     save_game,
+    solve_determined,
     validate_game,
     value_iterate,
 )
@@ -76,6 +77,50 @@ def test_terminal_reward_must_be_zero():
     rep = validate_game(g)
     assert not rep.ok
     assert any("terminal reward nonzero" in v for v in rep.violations)
+
+
+_T = ("t", "terminal", (0, 0), [("t", 1)])
+_U = ("u", "terminal", (0, 0), [("u", 1)])
+
+
+@pytest.mark.parametrize(
+    "states, violation",
+    [
+        ([("", "terminal", (0, 0), [("", 1)])], "state with empty id"),
+        ([_T, _T], "t: duplicate state id"),
+        ([_T, ("a", "p1", (0, 0), [("zz", 1)])], "a: transition to unknown state 'zz'"),
+        (
+            [_T, ("a", "p1", (0, 0), [("t", 1), ("t", 1)])],
+            "a: duplicate transition targets",
+        ),
+        (
+            [_T, ("v", "terminal", (0, 0), [("t", 1)])],
+            "v: terminal must have a single self-transition with probability 1",
+        ),
+        ([_T, ("a", "p1", (0, 0), [])], "a: non-terminal state with no successor"),
+        (
+            [_T, ("a", "p2", (0, 0), [("t", F(1, 2))])],
+            "a: controlled transition to t has probability 1/2 != 1",
+        ),
+        (
+            [_T, _U, ("a", "chance", (0, 0), [("t", 0), ("u", 1)])],
+            "a: non-positive transition probability",
+        ),
+    ],
+    ids=[
+        "empty-id",
+        "duplicate-id",
+        "unknown-target",
+        "duplicate-targets",
+        "terminal-without-self-loop",
+        "no-successor",
+        "controlled-probability",
+        "non-positive-probability",
+    ],
+)
+def test_each_structural_violation_is_named(states, violation):
+    g = make_game(states[0][0], states)
+    assert validate_game(g).violations == (violation,)
 
 
 def test_require_valid_raises():
@@ -259,6 +304,27 @@ def test_normalize_preserves_heating_curve_at_relocated_state(heating):
     assert len(a) == len(b)
     for (xa, ya), (xb, yb) in zip(a.vertices, b.vertices):
         assert abs(xa - xb) <= tol and abs(ya - yb) <= tol
+
+
+def test_normalize_splits_a_three_way_chance_state():
+    # "a__split" is taken, so the helper is named "a__split2"; a's reward
+    # moves to a fresh minimizer entry state, which becomes initial.
+    g = make_game(
+        "a",
+        [
+            ("a", "chance", (1, 1), [("b", F(1, 2)), ("c", F(1, 4)), ("d", F(1, 4))]),
+            ("b", "p2", (2, 0), [("a__split", 1)]),
+            ("c", "p2", (4, 0), [("a__split", 1)]),
+            ("d", "p2", (4, 0), [("a__split", 1)]),
+            ("a__split", "terminal", (0, 0), [("a__split", 1)]),
+        ],
+    )
+    out = normalize(g)
+    assert validate_game(out).ok
+    assert out.state("a").transitions == (("b", F(1, 2)), ("a__split2", F(1, 2)))
+    assert out.state("a__split2").transitions == (("c", F(1, 2)), ("d", F(1, 2)))
+    assert out.initial == "a__in"
+    assert solve_determined(out)[out.initial].vertices == ((F(4), F(1)),)
 
 
 # ---------------------------------------------------------------------------
