@@ -2,11 +2,12 @@
 
 The package computes, for every state of a turn-based stochastic game with
 two reward dimensions, the frontier of point vectors the maximizing player
-can ensure: exact curves by memoryless-strategy enumeration for stopping
-games, anytime approximations by value iteration with sound residual bounds,
-plus structural audits of the slope laws those curves obey, a reduction from
-discounted to total reward, and a simulation harness for the credit-growth
-strategy in inverse betting games.
+can ensure: exact curves of determined stopping games, certified from the
+minimizer strategies that scalarized strategy iteration generates, with
+memoryless-strategy enumeration as fallback; anytime approximations by value
+iteration with sound residual bounds; structural audits of the slope laws
+those curves obey; a reduction from discounted to total reward; and a
+simulation harness for the credit-growth strategy in inverse betting games.
 
 Everything is exact: coordinates, probabilities, and rewards are
 ``fractions.Fraction`` throughout; no float enters any computation (floats

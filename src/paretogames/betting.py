@@ -66,7 +66,7 @@ class BetVertex:
         object.__setattr__(
             self,
             "edges",
-            tuple((str(t), as_fraction(w)) for t, w in self.edges),
+            tuple((t, as_fraction(w)) for t, w in self.edges),
         )
 
     @cached_property

@@ -1,8 +1,8 @@
 """Command-line surface: load games, run solvers and checks, export curves.
 
-``solve-determined`` always checks its enumerated curves against the curve
-equations: it writes or prints them, then ends with ``determined: true`` (exit
-0) or ``determined: false`` (exit 1), so no curve leaves it uncertified.
+``solve-determined`` always checks its curves against the curve equations:
+it writes or prints them, then ends with ``determined: true`` (exit 0) or
+``determined: false`` (exit 1), so no curve leaves it uncertified.
 ``query`` answers from ``certified_curves``: exact curves never give ``unknown``.
 
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
@@ -66,7 +66,7 @@ _EXIT_CODES = (
     (StepBoundExceeded, LIMIT),
     ((NotStopping, NotStoppingUnderPolicy, HypothesisViolated), NEGATIVE),
     (InvariantBroken, INTERNAL),
-    ((GameSolverError, ValueError, TypeError, KeyError, OSError), INPUT_ERROR),
+    ((GameSolverError, ValueError, TypeError, OSError), INPUT_ERROR),
     (Exception, INTERNAL),
 )
 
@@ -285,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "solve-determined",
-        help="exact curves by strategy enumeration (stopping games)",
+        help="exact curves certified from generated strategies, "
+        "enumeration as fallback (stopping games)",
     )
     p.add_argument("game")
     p.add_argument("--out-dir")

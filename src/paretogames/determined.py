@@ -1,10 +1,15 @@
-"""Exact curves by minimizer-strategy enumeration, and ``certified_curves``.
+"""Exact curves of two-player stopping games from minimizer strategies, the
+determinacy check, and ``certified_curves``.
 
 Fixing a memoryless deterministic choice function sigma of the minimizer
-leaves a maximizer-only process whose exact curves are computed on the game
-itself, one strategy profile at a time.  Their pointwise minimum V passes
-the fixpoint check iff the game is determined, since a stopping game's curve
-equations have one solution, and then V *is* the Pareto-curve family.
+leaves a maximizer-only process whose exact curve family C_sigma is computed
+on the game itself, one strategy profile at a time.  The pointwise minimum V
+of C_sigma over any set of strategies contains the Pareto-curve family, and
+V passes the fixpoint check iff it *is* that family, since a stopping game's
+curve equations have one solution.  ``solve_determined`` folds every
+strategy; ``check_determinacy`` certifies from the few that scalarized
+strategy iteration picks and enumerates only when the curve equations reject
+them.
 """
 
 from __future__ import annotations
@@ -12,13 +17,23 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bellman import CurveMap, check_fixpoint, value_iterate
 from .errors import NonPositiveEpsilon
-from .frontier import RationalLike, as_fraction, intersect_min
+from .frontier import Point, RationalLike, as_fraction, intersect_min
 from .games import Game, Kind, require_stopping, require_valid
-from .mdp import MDStrategy, _pareto_curves
+from .mdp import (
+    MDStrategy,
+    _dot,
+    _memo_evaluate,
+    _pareto_curves,
+    _policy_iterate,
+    _Evaluator,
+    _secondary_axis,
+)
+
+_Key = frozenset[tuple[str, str]]  # a strategy's choices, in any order
 
 
 def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
@@ -31,37 +46,150 @@ def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
         yield dict(zip(ids, combo))
 
 
-def solve_determined(g: Game) -> CurveMap:
-    """V_s = pointwise minimum over all minimizer strategies of the exact
-    per-strategy curve at s.  Exact; equals the true Pareto curves whenever
-    the game is determined.
+def _fold(
+    g: Game,
+    curves: CurveMap,
+    sigmas: Iterable[MDStrategy],
+    folded: set[_Key],
+) -> CurveMap:
+    """``curves`` intersected with C_sigma for every sigma not yet in
+    ``folded``, each recorded there; the keys stay in listed state order.
 
     Each strategy gets one weight sweep on g, shared by all of its states
     (``mdp_pareto_curves`` without building the process), folded into the
-    running minimum as soon as it is computed."""
-    require_stopping(g, "strategy enumeration requires a stopping game")
-    curves: CurveMap = {}
-    for sigma in enumerate_md_strategies(g):
+    running minimum as soon as it is computed; a state whose two curves are
+    equal keeps its curve, which is their intersection."""
+    for sigma in sigmas:
+        key = frozenset(sigma.items())
+        if key in folded:
+            continue
+        folded.add(key)
         # g is stopping, so every profile reaches a terminal.
         nxt = _pareto_curves(g, sigma)
         curves = (
-            {sid: intersect_min(curves[sid], nxt[sid]) for sid in curves}
+            {
+                sid: f if f == nxt[sid] else intersect_min(f, nxt[sid])
+                for sid, f in curves.items()
+            }
             if curves
             else nxt
         )
     return curves
 
 
+def solve_determined(g: Game) -> CurveMap:
+    """V_s = pointwise minimum over all minimizer strategies of the exact
+    per-strategy curve at s.  Exact; equals the true Pareto curves whenever
+    the game is determined."""
+    require_stopping(g, "strategy enumeration requires a stopping game")
+    return _fold(g, {}, enumerate_md_strategies(g), set())
+
+
+def _minimizer_optimum(
+    g: Game,
+    w: Point,
+    sigma: MDStrategy,
+    evaluators: dict[_Key, _Evaluator],
+) -> MDStrategy:
+    """A minimizer strategy optimal in the one-objective game that ranks
+    values by (w . v, u . v) lexicographically, u = ``_secondary_axis(w)``,
+    by Hoffman-Karp strategy iteration from ``sigma``.
+
+    Each round computes the maximizer's best response to sigma and its
+    values, then switches every minimizer state whose best successor ranks
+    strictly lower than its current choice.  As in ``_policy_iterate`` the
+    ranking is the scalar game w + eps*u for every small enough eps > 0,
+    where a switch strictly lowers the best-response value; on a stopping
+    game no strategy repeats, so the loop ends.  ``evaluators`` keeps one
+    ``_memo_evaluate`` per strategy across rounds and directions."""
+    directions = (w, _secondary_axis(w))
+    while True:
+        key = frozenset(sigma.items())
+        if key not in evaluators:
+            evaluators[key] = _memo_evaluate(g, sigma)
+        _, values = _policy_iterate(g, evaluators[key], directions)
+        switched = {}
+        for s in g.states:
+            if s.kind is Kind.P2:
+                rank = {
+                    t: tuple(_dot(d, values[t]) for d in directions)
+                    for t in s.successors
+                }
+                best = min(s.successors, key=rank.__getitem__)
+                if rank[best] < rank[sigma[s.id]]:
+                    switched[s.id] = best
+        if not switched:
+            return sigma
+        sigma = {**sigma, **switched}
+
+
+def _edge_normals(curves: CurveMap) -> set[Point]:
+    """The normal (y0 - y1, x1 - x0) of every edge of every curve, scaled
+    to coordinate sum 1."""
+    normals = set()
+    for f in curves.values():
+        for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:]):
+            total = y0 - y1 + x1 - x0
+            normals.add(((y0 - y1) / total, (x1 - x0) / total))
+    return normals
+
+
 def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
-    """Compute V by strategy enumeration and test it against the curve
-    equations: in a stopping game their solution is unique, so a fixpoint
-    certifies V as the Pareto-curve family and a failure certifies that the
-    game is not determined.  Returns (verdict, V) either way."""
-    curves = solve_determined(g)
+    """V, the pointwise minimum of C_sigma over minimizer strategies, and
+    whether it solves the curve equations: in a stopping game their solution
+    is unique, so a fixpoint certifies V as the Pareto-curve family and a
+    failure, once every strategy is folded, certifies that the game is not
+    determined.  Returns (verdict, V) either way; V equals
+    ``solve_determined(g)`` in both cases.
+
+    V is built from generated strategies first.  For each direction w the
+    minimizer's optimum sigma_w in the scalarized game (``_minimizer_optimum``,
+    warm-started from the previous direction's) is folded into V, starting
+    from w = (0, 1) and (1, 0); while V fails the check, every edge normal of
+    every state's V not queried before is queried in the next round.  When a
+    round adds no strategy, every remaining strategy is enumerated.
+
+    Soundness.  Let F be the curve operator and F_sigma that of the process
+    sigma leaves, where a minimizer state takes the curve of its
+    sigma-successor instead of the intersection over its successors.  For
+    the Pareto-curve family V*, V* = F(V*) is contained in F_sigma(V*),
+    since a minimizer state's intersection lies inside each successor's
+    curve.  F_sigma is monotone, so V* is contained in every iterate
+    F_sigma^n(V*), which on a stopping game converge to C_sigma; hence V* is
+    contained in C_sigma for every sigma, and in the intersection over all
+    of them, which in turn is contained in V.  If V is a fixpoint of F then
+    V = V*, because the fixpoint is unique, so all three are equal: V equals
+    enumeration's result bit for bit (``intersect_min`` is exact and
+    canonical) and the game is determined.  Which strategies the generation
+    picks decides only the cost: nothing is claimed without
+    ``check_fixpoint``."""
+    require_stopping(g, "a determinacy check requires a stopping game")
+    folded: set[_Key] = set()
+    curves: CurveMap = {}
+    sigma = {s.id: s.successors[0] for s in g.states if s.kind is Kind.P2}
+    one, zero = Fraction(1), Fraction(0)
+    queried: set[Point] = set()
+    evaluators: dict[_Key, _Evaluator] = {}
+    directions = [(zero, one), (one, zero)]
+    while directions:
+        generated = []
+        for w in directions:
+            sigma = _minimizer_optimum(g, w, sigma, evaluators)
+            generated.append(sigma)
+        queried.update(directions)
+        count = len(folded)
+        curves = _fold(g, curves, generated, folded)
+        if len(folded) == count:
+            break
+        if check_fixpoint(g, curves):
+            return True, curves
+        directions = sorted(_edge_normals(curves) - queried)
+    curves = _fold(g, curves, enumerate_md_strategies(g), folded)
     return check_fixpoint(g, curves), curves
 
 
-# Enumeration is skipped above this count; each binary P2 state doubles it.
+# check_determinacy, whose fallback enumerates, is skipped above this count;
+# each binary P2 state doubles it.
 MAX_ENUMERATED_STRATEGIES = 1024
 
 
@@ -69,9 +197,9 @@ def certified_curves(
     g: Game, epsilon: RationalLike, max_iters: int
 ) -> tuple[CurveMap, Fraction]:
     """The Pareto curves of a stopping game and a certified bound on their
-    error, 0 when certified exact: enumeration's when the minimizer has at most
-    MAX_ENUMERATED_STRATEGIES strategies and ``check_determinacy`` passes,
-    else ``value_iterate``'s.  Bad options and NotStopping raise first."""
+    error, 0 when certified exact: ``check_determinacy``'s when the minimizer
+    has at most MAX_ENUMERATED_STRATEGIES strategies and it passes, else
+    ``value_iterate``'s.  Bad options and NotStopping raise first."""
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")

@@ -43,7 +43,7 @@ class StateRecord:
         object.__setattr__(
             self,
             "transitions",
-            tuple((str(t), as_fraction(p)) for t, p in self.transitions),
+            tuple((t, as_fraction(p)) for t, p in self.transitions),
         )
 
     @property

@@ -119,6 +119,15 @@ def test_each_arena_violation_is_named(vs, initial, violations):
     assert validate_betting(bg) == violations
 
 
+def test_integer_ids_built_in_code_validate_cleanly():
+    bg = BettingGame(
+        (bv(1, "eve", 2, F(1, 2), 1, F(1, 2)), bv(2, "adam", 1, F(1, 3), 2, F(2, 3))),
+        BettingConfig(1, F(1)),
+    )
+    assert validate_betting(bg) == ()
+    assert bg.vertex(1).successors == (2, 1)
+
+
 def test_json_round_trip():
     bg, _ = random_betting_game(random.Random(5))
     assert betting_from_json(betting_to_json(bg)) == bg

@@ -4,7 +4,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -468,6 +471,27 @@ def test_solve_determined_always_reports_not_determined(tmp_path, capsys):
     assert written == sorted(s["id"] + ".csv" for s in NOT_DETERMINED["states"])
 
 
+def test_not_determined_survives_optimized_mode(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from paretogames.cli import main\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "sys.exit(main(['solve-determined', sys.argv[1]]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, _nd_path(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    lines = done.stdout.splitlines()
+    assert (done.returncode, lines[0], lines[-1]) == (
+        1, "optimize 1", "determined: false"
+    )
+
+
 def test_solve_determined_always_reports_determined(heating_path, capsys):
     code, out, _ = run(capsys, "solve-determined", heating_path)
     assert code == 0 and out.splitlines()[-1] == "determined: true"
@@ -779,6 +803,18 @@ def test_unexpected_exception_is_an_internal_error(heating_path, capsys, monkeyp
     code, out, err = run(capsys, "validate", heating_path)
     assert code == 4 and out == ""
     assert err == "error: internal: RuntimeError: deliberately broken\n"
+
+
+def test_key_error_in_a_solver_is_an_internal_error(
+    heating_path, capsys, monkeypatch
+):
+    def broken(g, sigma):
+        raise KeyError("deliberately broken")
+
+    monkeypatch.setattr(paretogames.determined, "_pareto_curves", broken)
+    code, out, err = run(capsys, "solve-determined", heating_path)
+    assert code == 4 and out == ""
+    assert err == "error: internal: KeyError: 'deliberately broken'\n"
 
 
 # ---------------------------------------------------------------------------

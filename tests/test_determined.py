@@ -1,4 +1,4 @@
-"""Exact game solving by minimizer-strategy enumeration."""
+"""Exact game solving from minimizer strategies: generated, then enumerated."""
 from __future__ import annotations
 
 import hashlib
@@ -231,6 +231,69 @@ def test_determinacy_verdicts_and_curves_are_pinned(heating, fig3):
     assert digest.hexdigest() == (
         "17bbc34b030e1b83adda075a3e54682260c1e32ce04e9cdcf600941e5f6c2b08"
     )
+
+
+NOT_DETERMINED_PINS = [(8, 0), (8, 29), (12, 85), (12, 144)]
+
+
+def test_check_determinacy_equals_enumeration_on_random_stopping_games():
+    nondetermined = []
+    for max_states in (8, 12):
+        for seed in range(150):
+            g = random_stopping_game(seed, max_states=max_states)
+            ok, curves = check_determinacy(g)
+            expected = solve_determined(g)
+            assert ok == check_fixpoint(g, expected), (max_states, seed)
+            assert list(curves.items()) == list(expected.items()), (max_states, seed)
+            if not ok:
+                nondetermined.append((max_states, seed))
+    assert nondetermined == NOT_DETERMINED_PINS
+
+
+@pytest.mark.parametrize("max_states, seed", NOT_DETERMINED_PINS)
+def test_non_determined_pins_fall_back_to_enumeration(monkeypatch, max_states, seed):
+    g = random_stopping_game(seed, max_states=max_states)
+    enumerated = []
+    original = paretogames.determined.enumerate_md_strategies
+
+    def spy(game):
+        enumerated.append(game)
+        return original(game)
+
+    monkeypatch.setattr(paretogames.determined, "enumerate_md_strategies", spy)
+    ok, curves = check_determinacy(g)
+    assert enumerated == [g]
+    assert not ok and curves == solve_determined(g)
+
+
+def test_many_minimizer_states_certify_without_enumeration(monkeypatch):
+    def no_enumeration(g):
+        raise AssertionError("strategies enumerated")
+
+    g = p2_chain_game(16)
+    monkeypatch.setattr(
+        paretogames.determined, "enumerate_md_strategies", no_enumeration
+    )
+    ok, curves = check_determinacy(g)
+    assert ok and check_fixpoint(g, curves)
+    assert list(curves) == list(g.state_ids)
+
+
+def test_generated_strategies_are_each_folded_once(heating, monkeypatch):
+    import paretogames.determined as determined_module
+
+    folded = []
+    original = determined_module._pareto_curves
+
+    def counting(g, sigma):
+        folded.append(frozenset(sigma.items()))
+        return original(g, sigma)
+
+    monkeypatch.setattr(determined_module, "_pareto_curves", counting)
+    ok, curves = check_determinacy(heating)
+    assert ok and len(folded) == len(set(folded)) < 4
+    for sid, pts in HEATING_EXACT.items():
+        assert curves[sid] == frontier_of(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,12 @@ def test_fig3_fixture_is_valid(fig3):
     assert validate_game(fig3).ok
 
 
+def test_integer_ids_built_in_code_validate_cleanly():
+    g = make_game(1, [(1, "terminal", (0, 0), [(1, 1)])])
+    assert validate_game(g).violations == ()
+    assert g.state(1).successors == (1,)
+
+
 def test_chance_probabilities_must_sum_to_one():
     g = Game(
         "c",
