@@ -3,13 +3,13 @@ determinacy check, and ``certified_curves``.
 
 Fixing a memoryless deterministic choice function sigma of the minimizer
 leaves a maximizer-only process whose exact curve family C_sigma is computed
-on the game itself, one strategy profile at a time.  The pointwise minimum V
+on the game itself by sigma's ``mdp._BestResponse``.  The pointwise minimum V
 of C_sigma over any set of strategies contains the Pareto-curve family, and
 V passes the fixpoint check iff it *is* that family, since a stopping game's
 curve equations have one solution.  ``solve_determined`` folds every
-strategy; ``check_determinacy`` certifies from the few that scalarized
-strategy iteration picks and enumerates only when the curve equations reject
-them.
+strategy; ``check_determinacy`` certifies from the few that the minimizer's
+strategy iteration in ``mdp`` picks, and enumerates only when the curve
+equations reject them.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from .frontier import Point, RationalLike, as_fraction, intersect_min
 from .games import Game, Kind, require_stopping, require_valid
 from .mdp import (
     MDStrategy,
-    _dot,
-    _memo_evaluate,
+    _BestResponse,
+    _edge_normal,
+    _Key,
+    _minimizer_optimum,
     _pareto_curves,
-    _policy_iterate,
-    _Evaluator,
-    _secondary_axis,
 )
-
-_Key = frozenset[tuple[str, str]]  # a strategy's choices, in any order
 
 
 def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
@@ -47,25 +44,23 @@ def enumerate_md_strategies(g: Game) -> Iterator[MDStrategy]:
 
 
 def _fold(
-    g: Game,
-    curves: CurveMap,
-    sigmas: Iterable[MDStrategy],
-    folded: set[_Key],
+    curves: CurveMap, responses: Iterable[_BestResponse], folded: set[_Key]
 ) -> CurveMap:
-    """``curves`` intersected with C_sigma for every sigma not yet in
-    ``folded``, each recorded there; the keys stay in listed state order.
+    """``curves`` intersected with C_sigma for the strategy sigma of every
+    response not yet in ``folded``, each recorded there; the keys stay in
+    listed state order.
 
-    Each strategy gets one weight sweep on g, shared by all of its states
-    (``mdp_pareto_curves`` without building the process), folded into the
-    running minimum as soon as it is computed; a state whose two curves are
-    equal keeps its curve, which is their intersection."""
-    for sigma in sigmas:
-        key = frozenset(sigma.items())
+    Each strategy gets one weight sweep of its response, shared by all of
+    its states (``mdp_pareto_curves`` without building the process), folded
+    into the running minimum as soon as it is computed; a state whose two
+    curves are equal keeps its curve, which is their intersection."""
+    for r in responses:
+        key = frozenset(r.sigma.items())
         if key in folded:
             continue
         folded.add(key)
         # g is stopping, so every profile reaches a terminal.
-        nxt = _pareto_curves(g, sigma)
+        nxt = _pareto_curves(r)
         curves = (
             {
                 sid: f if f == nxt[sid] else intersect_min(f, nxt[sid])
@@ -82,56 +77,18 @@ def solve_determined(g: Game) -> CurveMap:
     per-strategy curve at s.  Exact; equals the true Pareto curves whenever
     the game is determined."""
     require_stopping(g, "strategy enumeration requires a stopping game")
-    return _fold(g, {}, enumerate_md_strategies(g), set())
-
-
-def _minimizer_optimum(
-    g: Game,
-    w: Point,
-    sigma: MDStrategy,
-    evaluators: dict[_Key, _Evaluator],
-) -> MDStrategy:
-    """A minimizer strategy optimal in the one-objective game that ranks
-    values by (w . v, u . v) lexicographically, u = ``_secondary_axis(w)``,
-    by Hoffman-Karp strategy iteration from ``sigma``.
-
-    Each round computes the maximizer's best response to sigma and its
-    values, then switches every minimizer state whose best successor ranks
-    strictly lower than its current choice.  As in ``_policy_iterate`` the
-    ranking is the scalar game w + eps*u for every small enough eps > 0,
-    where a switch strictly lowers the best-response value; on a stopping
-    game no strategy repeats, so the loop ends.  ``evaluators`` keeps one
-    ``_memo_evaluate`` per strategy across rounds and directions."""
-    directions = (w, _secondary_axis(w))
-    while True:
-        key = frozenset(sigma.items())
-        if key not in evaluators:
-            evaluators[key] = _memo_evaluate(g, sigma)
-        _, values = _policy_iterate(g, evaluators[key], directions)
-        switched = {}
-        for s in g.states:
-            if s.kind is Kind.P2:
-                rank = {
-                    t: tuple(_dot(d, values[t]) for d in directions)
-                    for t in s.successors
-                }
-                best = min(s.successors, key=rank.__getitem__)
-                if rank[best] < rank[sigma[s.id]]:
-                    switched[s.id] = best
-        if not switched:
-            return sigma
-        sigma = {**sigma, **switched}
+    return _fold(
+        {}, (_BestResponse(g, s) for s in enumerate_md_strategies(g)), set()
+    )
 
 
 def _edge_normals(curves: CurveMap) -> set[Point]:
-    """The normal (y0 - y1, x1 - x0) of every edge of every curve, scaled
-    to coordinate sum 1."""
-    normals = set()
-    for f in curves.values():
-        for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:]):
-            total = y0 - y1 + x1 - x0
-            normals.add(((y0 - y1) / total, (x1 - x0) / total))
-    return normals
+    """``_edge_normal`` of every edge of every curve."""
+    return {
+        _edge_normal(a, b)
+        for f in curves.values()
+        for a, b in zip(f.vertices, f.vertices[1:])
+    }
 
 
 def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
@@ -147,7 +104,10 @@ def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     warm-started from the previous direction's) is folded into V, starting
     from w = (0, 1) and (1, 0); while V fails the check, every edge normal of
     every state's V not queried before is queried in the next round.  When a
-    round adds no strategy, every remaining strategy is enumerated.
+    round adds no strategy, every remaining strategy is enumerated.  Each
+    strategy visited keeps one ``_BestResponse`` for the whole call, which
+    the generation, its curve sweep and the enumeration all use, so no
+    strategy profile is evaluated twice.
 
     Soundness.  Let F be the curve operator and F_sigma that of the process
     sigma leaves, where a minimizer state takes the curve of its
@@ -166,25 +126,29 @@ def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     require_stopping(g, "a determinacy check requires a stopping game")
     folded: set[_Key] = set()
     curves: CurveMap = {}
+    responses: dict[_Key, _BestResponse] = {}
     sigma = {s.id: s.successors[0] for s in g.states if s.kind is Kind.P2}
     one, zero = Fraction(1), Fraction(0)
     queried: set[Point] = set()
-    evaluators: dict[_Key, _Evaluator] = {}
     directions = [(zero, one), (one, zero)]
     while directions:
         generated = []
         for w in directions:
-            sigma = _minimizer_optimum(g, w, sigma, evaluators)
-            generated.append(sigma)
+            generated.append(_minimizer_optimum(g, w, sigma, responses))
+            sigma = generated[-1].sigma
         queried.update(directions)
         count = len(folded)
-        curves = _fold(g, curves, generated, folded)
+        curves = _fold(curves, generated, folded)
         if len(folded) == count:
             break
         if check_fixpoint(g, curves):
             return True, curves
         directions = sorted(_edge_normals(curves) - queried)
-    curves = _fold(g, curves, enumerate_md_strategies(g), folded)
+    enumerated = (
+        responses.get(frozenset(s.items())) or _BestResponse(g, s)
+        for s in enumerate_md_strategies(g)
+    )
+    curves = _fold(curves, enumerated, folded)
     return check_fixpoint(g, curves), curves
 
 

@@ -421,6 +421,8 @@ def frontier_to_svg(
     Floating point is used only to place pixels; the underlying data stays
     exact.
     """
+    # local: xml.sax.saxutils imports urllib.request, about 7 MB resident
+    from xml.sax.saxutils import escape
     xs = [float(x) for x, _ in f.vertices]
     ys = [float(y) for _, y in f.vertices]
     span_x = max(xs) - min(xs) or 1.0
@@ -453,7 +455,7 @@ def frontier_to_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
         f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<text x="{margin}" y="20" font-size="12" fill="#111">{title}</text>'
+        f'<text x="{margin}" y="20" font-size="12" fill="#111">{escape(title)}</text>'
         f'<polyline points="{points_attr}" fill="none" stroke="#2c3e50" '
         f'stroke-width="2"/>'
         f"{dots}{labels}</svg>"

@@ -79,14 +79,6 @@ class Game:
         once per game; ``validate_game`` and ``require_valid`` read them."""
         return tuple(_collect_violations(self))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Game):
-            return NotImplemented
-        return self.initial == other.initial and self.states == other.states
-
-    def __hash__(self) -> int:
-        return hash((self.initial, self.states))
-
 
 @dataclass(frozen=True)
 class ValidationReport:

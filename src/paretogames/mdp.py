@@ -1,27 +1,24 @@
-"""Exact Pareto curves for one-player stochastic decision processes.
+"""Exact Pareto curves for one-player stochastic decision processes, and
+the strategy iteration loop that both players share.
 
 Fixing the minimizer's choices in a game leaves a maximizer-only process
 ("MDP" below).  The solvers work on a game g with a fixed minimizer
-strategy sigma instead of building that process: a strategy profile, sigma
-together with a maximizer policy, sends every controlled state to one
-successor.  The public functions take a process and pass its forced
-Player-2 moves as sigma.  Profiles are evaluated by exact sparse rational
-elimination (each row holds at most three nonzeros, and I - P is an
-M-matrix, so no pivoting is needed), scalarized-optimal policies are found
-by policy iteration, and the exact Pareto frontier at a state is
-enumerated by dichotomic weight refinement: expose the two lexicographic
-extreme vertices, then recursively probe each candidate edge with its
-facet-normal direction until every edge is confirmed.  One sweep serves
-every state, since each direction's optimal policy is optimal from all
-states at once.  Every returned vertex is realized by a concrete policy,
-so the frontier is achievable by construction.
-
-Each probed direction w gets one policy-iteration loop that ranks
-successors by (w . v, u . v) lexicographically, u the other axis.  For
-every small enough eps > 0 this is policy iteration for w + eps*u, so it
-stops at a policy that maximizes w . v and, among those, u . v.  The value
-of that optimum is unique: two such policies agree on w . v and u . v, and
-w and u are linearly independent.
+strategy sigma instead of building that process, through one
+``_BestResponse`` per sigma that evaluates each strategy profile (sigma
+together with a maximizer policy) once and solves each direction once.
+The public functions take a process and pass its forced Player-2 moves as
+sigma.  Profiles are evaluated by exact sparse rational elimination (each
+row holds at most three nonzeros, and I - P is an M-matrix, so no pivoting
+is needed).  ``_policy_iterate`` is the one strategy-iteration loop: policy
+iteration for the maximizer, ranking successors by (w . v, u . v)
+lexicographically, u the other axis, and Hoffman-Karp strategy iteration
+for the minimizer (``_minimizer_optimum``).  The exact Pareto frontier at a
+state is enumerated by dichotomic weight refinement: expose the two
+lexicographic extreme vertices, then recursively probe each candidate edge
+with its facet-normal direction until every edge is confirmed.  One sweep
+serves every state, since each direction's optimal policy is optimal from
+all states at once.  Every returned vertex is realized by a concrete
+policy, so the frontier is achievable by construction.
 """
 
 from __future__ import annotations
@@ -172,30 +169,9 @@ def _policy_values(g: Game, choice: Mapping[str, str]) -> dict[str, Point]:
 
 
 # ---------------------------------------------------------------------------
-# Policy iteration
+# Strategy iteration
 
-
-_Evaluator = Callable[[MDPolicy], dict[str, Point]]
-
-
-def _memo_evaluate(g: Game, sigma: Mapping[str, str]) -> _Evaluator:
-    """Values of g under sigma and a maximizer policy, each distinct policy
-    solved once.
-
-    The memo lives as long as the returned function (one sweep, or one
-    ``optimal_policy`` call), whose caller has validated g and sigma; policy
-    iteration only builds policies that choose a successor at every
-    Player-1 state, so neither is checked again."""
-    memo: dict[tuple[tuple[str, str], ...], dict[str, Point]] = {}
-
-    def evaluate(pol: MDPolicy) -> dict[str, Point]:
-        key = tuple(sorted(pol.items()))
-        values = memo.get(key)
-        if values is None:
-            values = memo[key] = _policy_values(g, {**sigma, **pol})
-        return values
-
-    return evaluate
+_Key = frozenset[tuple[str, str]]  # a strategy's choices, in any order
 
 
 def _dot(w: Point, v: Point) -> Fraction:
@@ -203,19 +179,23 @@ def _dot(w: Point, v: Point) -> Fraction:
 
 
 def _policy_iterate(
-    g: Game, evaluate: _Evaluator, directions: Sequence[Point]
-) -> tuple[MDPolicy, dict[str, Point]]:
-    """Greedy policy iteration from the first-successor policy, ranking
-    successors by their values' dot products with ``directions``, compared
-    lexicographically; returns the stable policy and its exact values.
+    choices: Mapping[str, Sequence[str]],
+    start: Mapping[str, str],
+    evaluate: Callable[[Mapping[str, str]], dict[str, Point]],
+    directions: Sequence[Point],
+) -> tuple[dict[str, str], dict[str, Point]]:
+    """Greedy strategy iteration for the player whose states map to their
+    successors in ``choices``, from ``start``: value the choices with
+    ``evaluate``, switch every state whose best successor (by the values'
+    dot products with ``directions``, lexicographically; the first on ties)
+    ranks strictly above its choice, and stop when none does.  Returns the
+    stable choices and their values.
 
-    Ranking by (w, u) is policy iteration for w + eps*u for every small
-    enough eps > 0, as only finitely many comparisons occur, so the loop
-    stops at a policy that maximizes w . v and, among those, u . v from
-    every state.  With w and u linearly independent the value of that
-    optimum is unique, since w . v and u . v determine v."""
-    choices = {s.id: s.successors for s in g.states if s.kind is Kind.P1}
-    pol = {sid: succ[0] for sid, succ in choices.items()}
+    For the maximizer, ranking by (w, u) is policy iteration for w + eps*u
+    for every small enough eps > 0, as only finitely many comparisons
+    occur, so it stops at a policy maximizing w . v and, among those, u . v
+    from every state; that value is unique, as w . v and u . v determine v."""
+    pol = dict(start)
     while True:
         values = evaluate(pol)
         improved = False
@@ -234,6 +214,68 @@ def _secondary_axis(w: Point) -> Point:
     if w[1] == 0:
         return (Fraction(0), Fraction(1))
     return (Fraction(1), Fraction(0))
+
+
+class _BestResponse:
+    """The maximizer's side of g against the total minimizer strategy
+    sigma, g valid and stopping: each maximizer policy is evaluated once and
+    each direction solved once, for as long as the object lives (one public
+    call, or one ``check_determinacy``).  Policy iteration only builds
+    policies that choose a successor at every Player-1 state, so neither g
+    nor sigma is checked again."""
+
+    def __init__(self, g: Game, sigma: Mapping[str, str]):
+        self.g = g
+        self.sigma = dict(sigma)
+        self._choices = {s.id: s.successors for s in g.states if s.kind is Kind.P1}
+        self._values: dict[tuple[tuple[str, str], ...], dict[str, Point]] = {}
+        self._optima: dict[Point, tuple[MDPolicy, dict[str, Point]]] = {}
+
+    def evaluate(self, pol: Mapping[str, str]) -> dict[str, Point]:
+        key = tuple(sorted(pol.items()))
+        values = self._values.get(key)
+        if values is None:
+            values = self._values[key] = _policy_values(self.g, {**self.sigma, **pol})
+        return values
+
+    def iterate(
+        self, directions: Sequence[Point]
+    ) -> tuple[MDPolicy, dict[str, Point]]:
+        """``_policy_iterate`` from the first-successor policy."""
+        start = {sid: succ[0] for sid, succ in self._choices.items()}
+        return _policy_iterate(self._choices, start, self.evaluate, directions)
+
+    def optimum(self, w: Point) -> tuple[MDPolicy, dict[str, Point]]:
+        """The policy maximizing w . v and, among those, u . v, u =
+        ``_secondary_axis(w)``, and its values."""
+        if w not in self._optima:
+            self._optima[w] = self.iterate((w, _secondary_axis(w)))
+        return self._optima[w]
+
+
+def _minimizer_optimum(
+    g: Game, w: Point, sigma: Mapping[str, str], responses: dict[_Key, _BestResponse]
+) -> _BestResponse:
+    """The best response to a minimizer strategy optimal in the game
+    scalarized by (w, u), u = ``_secondary_axis(w)``, by Hoffman-Karp
+    strategy iteration from ``sigma``: ``_policy_iterate`` over the Player-2
+    states, each strategy valued by its best response, both directions
+    negated so that max picks what min would, the first on ties.  A switch
+    strictly lowers the best-response value, so on a stopping game no
+    strategy repeats and the loop ends.  ``responses`` keeps one
+    ``_BestResponse`` per strategy visited."""
+
+    def best_response_values(s: Mapping[str, str]) -> dict[str, Point]:
+        key = frozenset(s.items())
+        if key not in responses:
+            responses[key] = _BestResponse(g, s)
+        return responses[key].optimum(w)[1]
+
+    u = _secondary_axis(w)
+    choices = {s.id: s.successors for s in g.states if s.kind is Kind.P2}
+    negated = ((-w[0], -w[1]), (-u[0], -u[1]))
+    sigma, _ = _policy_iterate(choices, sigma, best_response_values, negated)
+    return responses[frozenset(sigma.items())]
 
 
 def optimal_policy(
@@ -255,7 +297,7 @@ def optimal_policy(
             "lexicographic tie-breaking is defined for axis-aligned directions"
         )
     directions = (w, _secondary_axis(w)) if lexicographic else (w,)
-    return _policy_iterate(mdp, _memo_evaluate(mdp, sigma), directions)
+    return _BestResponse(mdp, sigma).iterate(directions)
 
 
 # ---------------------------------------------------------------------------
@@ -272,47 +314,45 @@ def _checked_process(
     return sigma
 
 
+def _edge_normal(a: Point, b: Point) -> Point:
+    """The normal (a_y - b_y, b_x - a_x) of the edge from a to b, scaled to
+    coordinate sum 1, so every caller probes an edge under one memo key;
+    a positive factor changes no comparison."""
+    nx, ny = a[1] - b[1], b[0] - a[0]
+    return nx / (nx + ny), ny / (nx + ny)
+
+
 def _pareto_witnesses(
-    g: Game, sigma: Mapping[str, str], states: Iterable[str]
+    r: _BestResponse, states: Iterable[str]
 ) -> dict[str, dict[Point, MDPolicy]]:
     """Frontier vertex -> realizing policy, at each of the states of the
-    process that sigma leaves of g.
+    process that r.sigma leaves of r.g.
 
     Finds the two lexicographic extreme vertices, then refines each edge
-    (A, B) with the facet normal (A_y - B_y, B_x - A_x): when the optimum in
+    (A, B) with its normal ``_edge_normal(A, B)``: when the optimum in
     that direction strictly beats the edge, a new vertex lies between and
     both halves are probed again.  Terminates because each insertion is a
     distinct frontier vertex and each vertex is realized by one of finitely
     many policies.  One optimal policy per direction serves every state
-    (Forejt, Kwiatkowska & Parker, ATVA 2012), so each direction's policy
-    iteration runs once for all states, and each distinct policy is
-    evaluated once; the optimum is a deterministic function of the
-    direction, so sharing changes no result."""
-    evaluate = _memo_evaluate(g, sigma)
-    optima: dict[Point, tuple[MDPolicy, dict[str, Point]]] = {}
-
-    def optimum(w: Point) -> tuple[MDPolicy, dict[str, Point]]:
-        if w not in optima:
-            optima[w] = _policy_iterate(g, evaluate, (w, _secondary_axis(w)))
-        return optima[w]
-
+    (Forejt, Kwiatkowska & Parker, ATVA 2012), so r solves each direction
+    once for all states."""
     one = Fraction(1)
     zero = Fraction(0)
     out: dict[str, dict[Point, MDPolicy]] = {}
     for s in states:
-        pol_a, vals_a = optimum((zero, one))  # top-left extreme
-        pol_b, vals_b = optimum((one, zero))  # bottom-right extreme
+        pol_a, vals_a = r.optimum((zero, one))  # top-left extreme
+        pol_b, vals_b = r.optimum((one, zero))  # bottom-right extreme
         a, b = vals_a[s], vals_b[s]
         witnesses: dict[Point, MDPolicy] = {a: pol_a, b: pol_b}
         stack = [(a, b)] if a != b else []
         while stack:
             left, right = stack.pop()
-            w = (left[1] - right[1], right[0] - left[0])
-            if not (w[0] > 0 and w[1] > 0):
+            if not (left[1] > right[1] and right[0] > left[0]):
                 raise InvariantBroken(
                     f"{s}: edge {left}-{right} has no strictly positive normal"
                 )
-            pol, vals = optimum(w)
+            w = _edge_normal(left, right)
+            pol, vals = r.optimum(w)
             z = vals[s]
             if _dot(w, z) > _dot(w, left):
                 witnesses[z] = pol
@@ -329,15 +369,14 @@ def mdp_pareto_curves(mdp: Game) -> dict[str, Frontier]:
     validated and checked for stopping once, each probed direction's
     optimal policy is computed once, and each distinct policy is evaluated
     once.  Each curve equals ``mdp_pareto_curve(mdp, s)``."""
-    return _pareto_curves(mdp, _checked_process(mdp))
+    return _pareto_curves(_BestResponse(mdp, _checked_process(mdp)))
 
 
-def _pareto_curves(g: Game, sigma: Mapping[str, str]) -> dict[str, Frontier]:
-    """``mdp_pareto_curves`` of the process that sigma leaves of g, for a
-    valid stopping g and a total minimizer strategy sigma."""
+def _pareto_curves(r: _BestResponse) -> dict[str, Frontier]:
+    """``mdp_pareto_curves`` of the process that r.sigma leaves of r.g."""
     return {
         s: canonicalize(list(witnesses))
-        for s, witnesses in _pareto_witnesses(g, sigma, g.state_ids).items()
+        for s, witnesses in _pareto_witnesses(r, r.g.state_ids).items()
     }
 
 
@@ -356,7 +395,7 @@ def mdp_pareto_curve(
     per frontier vertex."""
     sigma = _checked_process(mdp)
     mdp.state(s)
-    witnesses = _pareto_witnesses(mdp, sigma, (s,))[s]
+    witnesses = _pareto_witnesses(_BestResponse(mdp, sigma), (s,))[s]
     frontier = canonicalize(list(witnesses))
     if not with_witnesses:
         return frontier

@@ -450,6 +450,15 @@ def test_query_has_no_mode_option(fig3_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("point", ["1,2,3", "1"])
+def test_query_rejects_a_point_without_two_coordinates(heating_path, capsys, point):
+    code, out, err = run(
+        capsys, "query", heating_path, "--state", "CC1", f"--point={point}"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: point must be 'x,y', got '{point}'\n"
+
+
 def test_query_rejects_exponent_notation(heating_path, capsys):
     code, out, err = run(
         capsys, "query", heating_path, "--state", "HH1", "--point=1e10000000,0"
@@ -808,7 +817,7 @@ def test_unexpected_exception_is_an_internal_error(heating_path, capsys, monkeyp
 def test_key_error_in_a_solver_is_an_internal_error(
     heating_path, capsys, monkeypatch
 ):
-    def broken(g, sigma):
+    def broken(response):
         raise KeyError("deliberately broken")
 
     monkeypatch.setattr(paretogames.determined, "_pareto_curves", broken)

@@ -279,15 +279,37 @@ def test_many_minimizer_states_certify_without_enumeration(monkeypatch):
     assert list(curves) == list(g.state_ids)
 
 
+def test_check_determinacy_evaluates_each_profile_once(heating, fig3, monkeypatch):
+    import paretogames.mdp as mdp_module
+
+    seen: list[frozenset] = []
+    original = mdp_module._policy_values
+
+    def counting(g, profile):
+        seen.append(frozenset(profile.items()))
+        return original(g, profile)
+
+    monkeypatch.setattr(mdp_module, "_policy_values", counting)
+    games = [heating, fig3] + [
+        random_stopping_game(seed, max_states=max_states)
+        for max_states in (8, 12)
+        for seed in range(150)
+    ]
+    for g in games:
+        seen.clear()
+        check_determinacy(g)
+        assert seen and len(seen) == len(set(seen))
+
+
 def test_generated_strategies_are_each_folded_once(heating, monkeypatch):
     import paretogames.determined as determined_module
 
     folded = []
     original = determined_module._pareto_curves
 
-    def counting(g, sigma):
-        folded.append(frozenset(sigma.items()))
-        return original(g, sigma)
+    def counting(response):
+        folded.append(frozenset(response.sigma.items()))
+        return original(response)
 
     monkeypatch.setattr(determined_module, "_pareto_curves", counting)
     ok, curves = check_determinacy(heating)

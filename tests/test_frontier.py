@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction as F
+from xml.dom.minidom import parseString
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from paretogames import (
     extremal_points,
     frontier_from_csv,
     frontier_to_csv,
+    frontier_to_svg,
     intersect_min,
     slope_at,
     support,
@@ -525,6 +527,14 @@ def test_malformed_csv_row_names_its_line(text, message):
     with pytest.raises(InvalidCurveFile) as info:
         frontier_from_csv(text)
     assert str(info.value) == message
+
+
+def test_svg_title_is_escaped():
+    title = "s&<script>alert(1)</script>"
+    svg = parseString(frontier_to_svg(canonicalize([(F(0), F(1))]), title=title))
+    first = svg.getElementsByTagName("text")[0]
+    assert first.firstChild.data == title
+    assert not svg.getElementsByTagName("script")
 
 
 @settings(max_examples=300)

@@ -383,6 +383,7 @@ def test_discount_delta_out_of_range(fig3):
 def test_json_round_trip(heating, fig3, tmp_path):
     for g in (heating, fig3):
         assert game_from_json(game_to_json(g)) == g
+        assert hash(game_from_json(game_to_json(g))) == hash(g)
         p = tmp_path / "g.json"
         save_game(g, p)
         assert load_game(p) == g

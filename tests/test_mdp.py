@@ -13,6 +13,7 @@ import paretogames.mdp as mdp_module
 from paretogames import (
     BadDirection,
     Game,
+    InvalidGame,
     InvalidStrategy,
     Kind,
     NotStopping,
@@ -80,8 +81,9 @@ def test_induce_without_p2_states_is_identity():
 
 
 def test_induce_rejects_bad_strategy(heating):
-    with pytest.raises(InvalidStrategy):
-        induce_mdp(heating, {"HC2": "HH1"})  # not a successor of HC2
+    with pytest.raises(InvalidStrategy, match="is not a successor"):
+        # total over HC2, CH2 and D1, but HH1 is not a successor of HC2
+        induce_mdp(heating, {"HC2": "HH1", "CH2": "CH3", "D1": "HH1"})
     with pytest.raises(InvalidStrategy):
         induce_mdp(heating, {})  # missing choices
 
@@ -120,6 +122,38 @@ def test_policy_evaluate_geometric_loop():
 def test_policy_evaluate_fig3_always_s1(fig3_mdp):
     vals = policy_evaluate(fig3_mdp, {"s0": "s1"})
     assert vals["s0"] == (F(1), F(0))
+
+
+@pytest.mark.parametrize(
+    "induced, pol, error, message",
+    [
+        (
+            False,
+            {"CC1": "HC2", "HC1": "HCS3", "CH1": "D1"},
+            InvalidGame,
+            "process has Player-2 choice at ['HC2', 'CH2']; fix a strategy first",
+        ),
+        (
+            True,
+            {"CC1": "HC2"},
+            InvalidStrategy,
+            "policy domain ['CC1'] != Player-1 states ['CC1', 'CH1', 'HC1']",
+        ),
+        (
+            True,
+            {"CC1": "HH1", "HC1": "HCS3", "CH1": "D1"},
+            InvalidStrategy,
+            "CC1: chosen successor 'HH1' is not a successor",
+        ),
+    ],
+)
+def test_policy_evaluate_rejects_bad_input(heating, induced, pol, error, message):
+    g = heating
+    if induced:
+        g = induce_mdp(heating, {"HC2": "HC3", "CH2": "CH3", "D1": "HH1"})
+    with pytest.raises(error) as info:
+        policy_evaluate(g, pol)
+    assert str(info.value) == message
 
 
 def test_policy_evaluate_detects_non_stopping_policy():
@@ -286,18 +320,13 @@ def test_policy_iteration_never_revisits(monkeypatch):
     # Each round of policy iteration evaluates its policy once, so the
     # policies handed to the evaluator are the rounds' policies.
     history: list[dict[str, str]] = []
-    real = mdp_module._memo_evaluate
+    real = mdp_module._BestResponse.evaluate
 
-    def recording(process, sigma):
-        evaluate = real(process, sigma)
+    def recording(self, pol):
+        history.append(dict(pol))
+        return real(self, pol)
 
-        def record(pol):
-            history.append(dict(pol))
-            return evaluate(pol)
-
-        return record
-
-    monkeypatch.setattr(mdp_module, "_memo_evaluate", recording)
+    monkeypatch.setattr(mdp_module._BestResponse, "evaluate", recording)
     for seed in range(40):
         mdp = random_stopping_mdp(seed)
         rng = random.Random(seed)
