@@ -10,8 +10,10 @@ those curves obey; a reduction from discounted to total reward; and a
 simulation harness for the credit-growth strategy in inverse betting games.
 
 Everything is exact: coordinates, probabilities, and rewards are
-``fractions.Fraction`` throughout; no float enters any computation (floats
-appear only in rendered SVG coordinates).
+``fractions.Fraction`` throughout; no float enters any computation.  Floats
+appear only in rendered SVG coordinates and as ``MINUS_INFINITY``, the
+sentinel right slope of the vertical ray that ``slope_at`` returns at a
+curve's last vertex and the slope audits compare against.
 """
 
 from .errors import (

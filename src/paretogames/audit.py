@@ -41,7 +41,6 @@ from .frontier import (
     slope_at,
     translate,
     weighted_sum,
-    _slopes,
     _vertices_of,
 )
 from .games import Game, Kind, validate_game
@@ -276,7 +275,7 @@ def _interior_direction(
     l0, r0 = slope_at(parent, p[0])
     if r0 != MINUS_INFINITY:
         return (l0 + r0) / 2
-    finite = [s for f in (parent, succ1, succ2) for s in _slopes(f.vertices)]
+    finite = [s for f in (parent, succ1, succ2) for s in f.slopes]
     floor = min(finite) if finite else Fraction(0)
     return floor - 1
 

@@ -601,7 +601,11 @@ def betting_from_json(data: Mapping) -> BettingGame:
 
 def load_betting(path) -> BettingGame:
     with open(path, "r", encoding="utf-8") as fh:
-        return betting_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise InvalidBettingGame(f"{path}: malformed JSON: {exc}") from exc
+    return betting_from_json(data)
 
 
 def save_betting(bg: BettingGame, path) -> None:

@@ -33,6 +33,7 @@ from .determined import certified_curves, check_determinacy
 from .errors import (
     GameSolverError,
     HypothesisViolated,
+    InvalidCurveFile,
     InvariantBroken,
     NotStopping,
     NotStoppingUnderPolicy,
@@ -92,10 +93,15 @@ def _write_curves(
 
 
 def _load_curves(dir_path: Path) -> CurveMap:
+    """Each ``*.csv`` file of the directory, by the state id its name quotes;
+    a path that is not a directory raises instead of loading nothing."""
     curves: CurveMap = {}
-    for path in sorted(dir_path.glob("*.csv")):
-        sid = urllib.parse.unquote(path.stem)
-        curves[sid] = frontier_from_csv(path.read_text())
+    for path in sorted(p for p in dir_path.iterdir() if p.name.endswith(".csv")):
+        try:
+            curve = frontier_from_csv(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, GameSolverError) as exc:
+            raise InvalidCurveFile(f"{path}: {exc}") from None
+        curves[urllib.parse.unquote(path.stem)] = curve
     return curves
 
 
@@ -218,6 +224,8 @@ def _cmd_betting_sim(args) -> int:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     bg = load_betting(args.betting)
     targets = frozenset(t.strip() for t in args.target.split(",") if t.strip())
+    if not targets:
+        raise ValueError("--target names no vertex")
     bound = as_fraction(args.bound)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:

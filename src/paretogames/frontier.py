@@ -13,7 +13,9 @@ ray to the left and vertical ray below the last vertex.
 
 All coordinates are :class:`fractions.Fraction`; every operation is exact and
 pure, and a frontier is immutable.  Every :class:`Frontier`, operation outputs
-included, is validated on construction by one pass over its segment slopes.
+included, is validated on construction by one pass over its segment slopes,
+and keeps those slopes: ``weighted_sum``, the interpolation of ``evaluate``
+and ``intersect_min``, and ``slope_at`` read them instead of dividing again.
 
 The binary operations take canonical inputs and merge them in time linear in
 their total vertex count: ``weighted_sum`` merges the two segment chains by
@@ -25,10 +27,12 @@ emitting the minimum and the exact crossings in x order.  Only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -78,9 +82,11 @@ def as_point(pair: Sequence[RationalLike]) -> Point:
     return (as_fraction(pair[0]), as_fraction(pair[1]))
 
 
-def _slopes(verts: Sequence[Point]) -> list[Fraction]:
+def _slopes(verts: Sequence[Point]) -> tuple[Fraction, ...]:
     """Slope of each segment of a vertex list with x strictly increasing."""
-    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
+    return tuple(
+        (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,9 @@ class Frontier:
     """Canonical Pareto frontier of a downward-closed convex planar set."""
 
     vertices: tuple[Point, ...]
+    #: ``slopes[i]`` is the slope from vertex i to vertex i + 1, kept from
+    #: the validation pass; it takes no part in equality, hashing or repr.
+    slopes: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -109,6 +118,7 @@ class Frontier:
                     f"vertices must be strictly concave: {verts[i]}, "
                     f"{verts[i + 1]}, {verts[i + 2]} are not"
                 )
+        object.__setattr__(self, "slopes", slopes)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -204,17 +214,7 @@ def evaluate(f: Frontier, x: RationalLike) -> Fraction | None:
     x = as_fraction(x)
     if x > f.x_last:
         return None
-    if x <= f.x_first:
-        return f.y_first
-    verts = f.vertices
-    lo, hi = 0, len(verts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if verts[mid][0] <= x:
-            lo = mid
-        else:
-            hi = mid
-    return _height_before(verts, hi, x)
+    return _height_before(f, bisect_left(f.vertices, x, key=itemgetter(0)), x)
 
 
 def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, float]]:
@@ -228,34 +228,13 @@ def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, fl
     x = as_fraction(x)
     if x > f.x_last:
         raise OutOfDomain(f"slope queried at x={x} > x_last={f.x_last}")
-    verts = f.vertices
-
-    def seg_slope(i: int) -> Fraction:
-        (x0, y0), (x1, y1) = verts[i], verts[i + 1]
-        return (y1 - y0) / (x1 - x0)
-
     if x < f.x_first:
         return (Fraction(0), Fraction(0))
-    if x == f.x_first:
-        left = Fraction(0)
-        right: Union[Fraction, float] = (
-            MINUS_INFINITY if len(verts) == 1 else seg_slope(0)
-        )
-        return (left, right)
-    # locate the segment [verts[lo], verts[lo+1]] containing x (x > x_first)
-    lo, hi = 0, len(verts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if verts[mid][0] < x:
-            lo = mid
-        else:
-            hi = mid
-    if x == verts[hi][0]:  # at a vertex
-        left = seg_slope(hi - 1)
-        right = MINUS_INFINITY if hi == len(verts) - 1 else seg_slope(hi)
-        return (left, right)
-    s = seg_slope(lo)
-    return (s, s)
+    k, slopes = bisect_left(f.vertices, x, key=itemgetter(0)), f.slopes
+    if x < f.vertices[k][0]:  # inside segment k - 1; else at vertex k
+        return (slopes[k - 1], slopes[k - 1])
+    left = slopes[k - 1] if k else Fraction(0)
+    return (left, slopes[k] if k < len(slopes) else MINUS_INFINITY)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +246,13 @@ def dwc_conv_union(f1: Frontier, f2: Frontier) -> Frontier:
     return _hull_of_sorted(list(merge(f1.vertices, f2.vertices)))
 
 
-def _height_before(verts: tuple[Point, ...], k: int, x: Fraction) -> Fraction:
+def _height_before(f: Frontier, k: int, x: Fraction) -> Fraction:
     """F(x) for x in (x_{k-1}, x_k]: the interpolation on segment k-1 to k,
     or y_0 when k is 0 (x at or left of the first vertex)."""
     if k == 0:
-        return verts[0][1]
-    (x0, y0), (x1, y1) = verts[k - 1], verts[k]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return f.y_first
+    x0, y0 = f.vertices[k - 1]
+    return y0 + f.slopes[k - 1] * (x - x0)
 
 
 def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
@@ -290,10 +269,10 @@ def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
     while True:  # x_hi is a vertex x, so the sweep stops before either runs out
         (xa, ya), (xb, yb) = v1[i], v2[j]
         if xa < xb:
-            x, y1, y2 = xa, ya, _height_before(v2, j, xa)
+            x, y1, y2 = xa, ya, _height_before(f2, j, xa)
             i += 1
         elif xb < xa:
-            x, y1, y2 = xb, _height_before(v1, i, xb), yb
+            x, y1, y2 = xb, _height_before(f1, i, xb), yb
             j += 1
         else:
             x, y1, y2 = xa, ya, yb
@@ -336,15 +315,9 @@ def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
     if len(terms) == 1:
         return terms[0][1]
     (p, q), (f, g) = weights, (terms[0][1], terms[1][1])
-    if len(f) < len(g):  # keep any one-vertex term second
-        p, f, q, g = q, g, p, f
     a = [(p * x, p * y) for x, y in f.vertices]
-    if len(g) == 1:
-        bx, by = g.vertices[0]
-        bx, by = q * bx, q * by
-        return Frontier(tuple((x + bx, y + by) for x, y in a))
     b = [(q * x, q * y) for x, y in g.vertices]
-    sa, sb = _slopes(f.vertices), _slopes(g.vertices)
+    sa, sb = f.slopes, g.slopes
     i = j = 0
     out = [(a[0][0] + b[0][0], a[0][1] + b[0][1])]
     while i < len(sa) or j < len(sb):

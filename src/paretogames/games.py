@@ -429,7 +429,11 @@ def game_from_json(data: Mapping) -> Game:
 
 def load_game(path) -> Game:
     with open(path, "r", encoding="utf-8") as fh:
-        return game_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise InvalidGame(f"{path}: malformed JSON: {exc}") from exc
+    return game_from_json(data)
 
 
 def save_game(g: Game, path) -> None:

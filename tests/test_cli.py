@@ -609,6 +609,57 @@ def test_zero_denominator_is_an_input_error(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _write_bytes(path: Path, data: bytes) -> Path:
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+NOT_JSON, NOT_UTF8, TOO_DEEP = b"{nope", b'"\xff"', b"[" * 10**5 + b"]" * 10**5
+
+
+@pytest.mark.parametrize(
+    "argv, error, named",
+    [
+        (lambda tmp, game: ["validate", str(_write_bytes(tmp / "g.json", NOT_JSON))],
+         "InvalidGame", "g.json"),
+        (lambda tmp, game: ["validate", str(_write_bytes(tmp / "g.json", NOT_UTF8))],
+         "InvalidGame", "g.json"),
+        (lambda tmp, game: ["validate", str(_write_bytes(tmp / "g.json", TOO_DEEP))],
+         "InvalidGame", "g.json"),
+        (lambda tmp, game: ["betting-sim", str(_write_bytes(tmp / "b.json", NOT_JSON)),
+                            "--target", "v0"], "InvalidBettingGame", "b.json"),
+        (lambda tmp, game: ["betting-sim", str(_write_bytes(tmp / "b.json", NOT_UTF8)),
+                            "--target", "v0"], "InvalidBettingGame", "b.json"),
+        (lambda tmp, game: ["betting-sim", str(_write_bytes(tmp / "b.json", TOO_DEEP)),
+                            "--target", "v0"], "InvalidBettingGame", "b.json"),
+        (lambda tmp, game: ["audit", game, "--curves", str(
+            _write_bytes(tmp / "c" / "HH1.csv", b"0,0\n\xff,1\n").parent)],
+         "InvalidCurveFile", "HH1.csv"),
+        (lambda tmp, game: ["audit", game, "--curves", str(
+            _write_bytes(tmp / "c" / "HH1.csv", b"0,0\n1,2,3\n").parent)],
+         "InvalidCurveFile", "HH1.csv: line 2: "),
+        (lambda tmp, game: ["audit", game, "--curves", str(
+            _write_bytes(tmp / "c" / "HH1.csv", b"\n").parent)],
+         "InvalidCurveFile", "HH1.csv"),
+        (lambda tmp, game: ["audit", game, "--curves", str(tmp / "missing")],
+         "FileNotFoundError", "missing"),
+        (lambda tmp, game: ["audit", game, "--curves", game],
+         "NotADirectoryError", "heating.json"),
+    ],
+    ids=["validate-json", "validate-utf8", "validate-deep", "betting-json",
+         "betting-utf8", "betting-deep", "audit-csv-utf8", "audit-csv-row",
+         "audit-csv-empty", "audit-missing-dir", "audit-file-as-dir"],
+)
+def test_unreadable_input_is_an_input_error_naming_its_file(
+    argv, error, named, heating_path, tmp_path, capsys
+):
+    code, out, err = run(capsys, *argv(tmp_path, heating_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert named in err
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -639,6 +690,13 @@ def test_audit_catches_corruption(heating_path, tmp_path, capsys):
         capsys, "audit", heating_path, "--curves", str(out_dir)
     )
     assert code == 1 and out.startswith("FAIL") and "CC1" in out
+
+
+def test_audit_of_an_empty_curve_directory_fails(heating_path, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, _ = run(capsys, "audit", heating_path, "--curves", str(empty))
+    assert code == 1 and out.startswith("FAIL") and "missing curve" in out
 
 
 def test_audit_rejects_an_invalid_game(tmp_path, capsys):
@@ -728,6 +786,14 @@ def test_betting_sim_rejects_runs_below_one(betting_path, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: ValueError: --runs must be at least 1, got -2\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("target", ["", ","])
+def test_betting_sim_rejects_an_empty_target_set(betting_path, capsys, target):
+    path, _ = betting_path
+    code, out, err = run(capsys, "betting-sim", path, "--target", target)
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: --target names no vertex\n"
 
 
 def test_betting_sim_rejects_unknown_target(betting_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction as F
 from xml.dom.minidom import parseString
 
@@ -187,6 +188,57 @@ def test_slopes_non_increasing_in_x(pts, dx):
         assert left >= right
     for (_, r0), (l1, _) in zip(pairs, pairs[1:]):
         assert r0 >= l1
+
+
+def _scan_height(f: Frontier, x: F) -> F | None:
+    """F(x) by a linear scan over the segments."""
+    if x > f.x_last:
+        return None
+    for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:]):
+        if x0 < x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return f.y_first
+
+
+def _scan_slopes(f: Frontier, x: F) -> tuple:
+    """(left, right) slope at x <= x_last by a linear scan over the segments."""
+    if x < f.x_first:
+        return (0, 0)
+    segs = [
+        ((y1 - y0) / (x1 - x0), x0, x1)
+        for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:])
+    ]
+    left = next((s for s, x0, x1 in segs if x0 < x <= x1), F(0))
+    right = next((s for s, x0, x1 in segs if x0 <= x < x1), MINUS_INFINITY)
+    return (left, right)
+
+
+@given(point_lists.map(canonicalize))
+def test_queries_match_a_linear_scan(f):
+    xs = [x for x, _ in f.vertices]
+    probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [f.x_first - 1]
+    for x in probes:
+        h = _scan_height(f, x)
+        assert evaluate(f, x) == h
+        assert slope_at(f, x) == _scan_slopes(f, x)
+        for y in (h - 1, h, h + F(1, 7)):
+            assert contains(f, (x, y)) == (y <= h)
+    beyond = f.x_last + F(1, 3)
+    assert evaluate(f, beyond) is None and not contains(f, (beyond, f.y_first - 9))
+    with pytest.raises(OutOfDomain):
+        slope_at(f, beyond)
+
+
+def test_kept_slopes_take_no_part_in_equality_hash_or_repr():
+    built = Frontier(((0, 2), (1, 1), (3, -2)))
+    canon = canonicalize([(3, -2), (1, 1), (0, 2), (1, 0), (2, F(-1, 2))])
+    assert built.slopes == canon.slopes == (F(-1), F(-3, 2))
+    assert built == canon and hash(built) == hash(canon)
+    assert repr(built) == repr(canon) == "Frontier[(0,2), (1,1), (3,-2)]"
+    assert {fd.name: (fd.init, fd.compare, fd.repr) for fd in fields(Frontier)} == {
+        "vertices": (True, True, True),
+        "slopes": (False, False, False),
+    }
 
 
 # ---------------------------------------------------------------------------
