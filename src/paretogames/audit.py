@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import InvariantBroken, RelationMismatch
 from .frontier import (
@@ -44,8 +44,6 @@ from .frontier import (
     _vertices_of,
 )
 from .games import Game, Kind, validate_game
-
-Slope = Union[Fraction, float]  # float only for the -infinity sentinel
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -113,10 +111,6 @@ class _Collector:
         )
 
 
-def _fmt_slope(s: Slope) -> str:
-    return "-inf" if s == MINUS_INFINITY else str(s)
-
-
 # ---------------------------------------------------------------------------
 # Single-curve audit
 
@@ -181,14 +175,12 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
         col.check(
             min(l1, l2) <= l0 <= max(l1, l2),
             "lslope not sandwiched",
-            f"at x={x}: parent {_fmt_slope(l0)} outside "
-            f"[{_fmt_slope(min(l1, l2))}, {_fmt_slope(max(l1, l2))}]",
+            f"at x={x}: parent {l0} outside [{min(l1, l2)}, {max(l1, l2)}]",
         )
         col.check(
             min(r1, r2) <= r0 <= max(r1, r2),
             "rslope not sandwiched",
-            f"at x={x}: parent {_fmt_slope(r0)} outside "
-            f"[{_fmt_slope(min(r1, r2))}, {_fmt_slope(max(r1, r2))}]",
+            f"at x={x}: parent {r0} outside [{min(r1, r2)}, {max(r1, r2)}]",
         )
     return col.report()
 
@@ -228,34 +220,31 @@ def audit_p2(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
             col.check(
                 l0 == max(l1, l2),
                 "lslope not max at equality",
-                f"at x={x}: parent {_fmt_slope(l0)} != "
-                f"max({_fmt_slope(l1)}, {_fmt_slope(l2)})",
+                f"at x={x}: parent {l0} != max({l1}, {l2})",
             )
             col.check(
                 r0 == min(r1, r2),
                 "rslope not min at equality",
-                f"at x={x}: parent {_fmt_slope(r0)} != "
-                f"min({_fmt_slope(r1)}, {_fmt_slope(r2)})",
+                f"at x={x}: parent {r0} != min({r1}, {r2})",
             )
             continue
         ll, rl = (l1, r1) if y1 < y2 else (l2, r2)
         col.check(
             l0 == ll,
             "lslope not the lower curve's",
-            f"at x={x}: parent {_fmt_slope(l0)} != lower {_fmt_slope(ll)}",
+            f"at x={x}: parent {l0} != lower {ll}",
         )
         if x == x_cap:
             col.check(
                 r0 == min(r1, r2),
                 "rslope not min at truncation",
-                f"at x={x}: parent {_fmt_slope(r0)} != "
-                f"min({_fmt_slope(r1)}, {_fmt_slope(r2)})",
+                f"at x={x}: parent {r0} != min({r1}, {r2})",
             )
         else:
             col.check(
                 r0 == rl,
                 "rslope not the lower curve's",
-                f"at x={x}: parent {_fmt_slope(r0)} != lower {_fmt_slope(rl)}",
+                f"at x={x}: parent {r0} != lower {rl}",
             )
     return col.report()
 
@@ -333,8 +322,7 @@ def audit_chance(
         col.check(
             l0 == min(l1, l2),
             "lslope not min of parts",
-            f"at x={p[0]}: parent {_fmt_slope(l0)} != "
-            f"min({_fmt_slope(l1)}, {_fmt_slope(l2)})",
+            f"at x={p[0]}: parent {l0} != min({l1}, {l2})",
         )
     return col.report()
 

@@ -28,7 +28,6 @@ exactly: the valuation, Adam's successor and the potential increment.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ from .errors import (
     UnknownState,
 )
 from .frontier import RationalLike, as_fraction, fraction_str
-from .games import _string_id
+from .games import _read_json, _string_id, _write_json
 
 
 class BetKind:
@@ -200,6 +199,8 @@ def _compute_attractor(bg: BettingGame, targets: frozenset[str]) -> AttractorRes
     for t in targets:
         bg.vertex(t)
     layer: dict[str, int] = {t: 0 for t in targets}
+    # a vertex's a-value follows from successors that joined before it
+    a: dict[str, int] = dict(layer)
     sigma: dict[str, str] = {}
     frontier_new = True
     k = 0
@@ -211,22 +212,14 @@ def _compute_attractor(bg: BettingGame, targets: frozenset[str]) -> AttractorRes
                 continue
             inside = [t for t in v.successors if t in layer]
             if v.kind == BetKind.EVE and inside:
-                layer[v.id] = k
                 sigma[v.id] = min(inside, key=lambda t: layer[t])
-                frontier_new = True
+                a[v.id] = 1 + a[sigma[v.id]]
             elif v.kind == BetKind.ADAM and len(inside) == 2:
-                layer[v.id] = k
-                frontier_new = True
-    a: dict[str, int] = {}
-    for vid in sorted(layer, key=lambda x: layer[x]):
-        if layer[vid] == 0:
-            a[vid] = 0
-        else:
-            v = bg.vertex(vid)
-            if v.kind == BetKind.EVE:
-                a[vid] = 1 + a[sigma[vid]]
+                a[v.id] = 1 + max(a[t] for t in inside)
             else:
-                a[vid] = 1 + max(a[t] for t in v.successors)
+                continue
+            layer[v.id] = k
+            frontier_new = True
     powers = bg._w_powers
     offsets = {vid: powers[k] - powers[-1] for vid, k in a.items()}
     return AttractorResult(
@@ -328,6 +321,15 @@ class _BaseAdam:
     def _a(self, vid: str) -> int:
         return self._attr.a.get(vid, -1)
 
+    def _stake_all(self, v, credit, on_guided):
+        """The valuation that bets the whole credit on v's guided successor
+        (sigma's choice, else the first), or else on the other one."""
+        guided = self._attr.sigma.get(v.id, v.successors[0])
+        (t1, w1), (_, w2) = v.edges
+        if (t1 == guided) == on_guided:
+            return (credit / w1, Fraction(0))
+        return (Fraction(0), credit / w2)
+
 
 class RandomAdam(_BaseAdam):
     """Splits the credit at a uniformly random ratio; walks randomly."""
@@ -351,11 +353,7 @@ class StarveAdam(_BaseAdam):
     follow her guide into poverty; prolongs the walk at his own vertices."""
 
     def valuation(self, bg, v, credit):
-        guided = self._attr.sigma.get(v.id, v.successors[0])
-        (_, w1), (_, w2) = v.edges
-        if v.successors[0] == guided:
-            return (Fraction(0), credit / w2)
-        return (credit / w1, Fraction(0))
+        return self._stake_all(v, credit, on_guided=False)
 
     def choose(self, bg, v, credit):
         return max(v.successors, key=self._a)
@@ -375,11 +373,7 @@ class FundTargetAdam(_BaseAdam):
     """Funds the guided successor fully, conceding growth but racing on."""
 
     def valuation(self, bg, v, credit):
-        guided = self._attr.sigma.get(v.id, v.successors[0])
-        (_, w1), (_, w2) = v.edges
-        if v.successors[0] == guided:
-            return (credit / w1, Fraction(0))
-        return (Fraction(0), credit / w2)
+        return self._stake_all(v, credit, on_guided=True)
 
     def choose(self, bg, v, credit):
         return min(v.successors, key=self._a)
@@ -600,15 +594,8 @@ def betting_from_json(data: Mapping) -> BettingGame:
 
 
 def load_betting(path) -> BettingGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise InvalidBettingGame(f"{path}: malformed JSON: {exc}") from exc
-    return betting_from_json(data)
+    return betting_from_json(_read_json(path, InvalidBettingGame))
 
 
 def save_betting(bg: BettingGame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(betting_to_json(bg), fh, indent=2)
-        fh.write("\n")
+    _write_json(betting_to_json(bg), path)

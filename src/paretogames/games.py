@@ -247,39 +247,35 @@ def _binary_split(g: Game) -> Game:
             out.append(s)
             continue
         # Chain: s keeps its first edge and defers the rest to fresh
-        # same-kind helper states with reward (0,0); for chance states the
-        # deferred probabilities are renormalized conditionals.
+        # same-kind helper states with reward (0,0); the deferred
+        # probabilities are renormalized conditionals.
         rest = list(s.transitions)
         head_id = s.id
         reward = s.reward
         while len(rest) > 2:
             (t0, p0), tail = rest[0], rest[1:]
             helper = _fresh_id(f"{s.id}__split", taken)
-            if s.kind is Kind.CHANCE:
-                remaining = sum(p for _, p in tail)
-                out.append(
-                    StateRecord(
-                        head_id,
-                        s.kind,
-                        reward,
-                        ((t0, p0), (helper, remaining)),
-                    )
-                )
-                rest = [(t, p / remaining) for t, p in tail]
-            else:
-                out.append(
-                    StateRecord(
-                        head_id,
-                        s.kind,
-                        reward,
-                        ((t0, Fraction(1)), (helper, Fraction(1))),
-                    )
-                )
-                rest = tail
+            # a controlled edge has probability p0 = 1, and so has its link
+            remaining = sum(p for _, p in tail) if s.kind is Kind.CHANCE else p0
+            out.append(
+                StateRecord(head_id, s.kind, reward, ((t0, p0), (helper, remaining)))
+            )
+            rest = [(t, p / remaining) for t, p in tail]
             head_id = helper
             reward = (Fraction(0), Fraction(0))
         out.append(StateRecord(head_id, s.kind, reward, tuple(rest)))
     return Game(g.initial, tuple(out))
+
+
+def _reroute(g: Game, via: Mapping[str, str]) -> list[StateRecord]:
+    """g's states with every edge into a key of ``via`` sent to its value
+    instead; ``via`` names no terminal, so self-loops stay put."""
+    return [
+        StateRecord(
+            s.id, s.kind, s.reward, tuple((via.get(t, t), p) for t, p in s.transitions)
+        )
+        for s in g.states
+    ]
 
 
 def normalize(g: Game) -> Game:
@@ -303,21 +299,14 @@ def normalize(g: Game) -> Game:
         require_valid(g)
         return g
     entry_for = {s.id: _fresh_id(f"{s.id}__in", taken) for s in needs_move}
-    out: list[StateRecord] = []
-    for s in g.states:
-        transitions = tuple(
-            (entry_for.get(t, t), p) for t, p in s.transitions
-        )
-        if s.kind is Kind.TERMINAL:
-            transitions = s.transitions  # self-loop stays put
-        reward = (Fraction(0), Fraction(0)) if s.id in entry_for else s.reward
-        out.append(StateRecord(s.id, s.kind, reward, transitions))
-    for s in needs_move:
-        out.append(
-            StateRecord(
-                entry_for[s.id], Kind.P2, s.reward, ((s.id, Fraction(1)),)
-            )
-        )
+    out = [
+        StateRecord(s.id, s.kind, (0, 0), s.transitions) if s.id in entry_for else s
+        for s in _reroute(g, entry_for)
+    ]
+    out += [
+        StateRecord(entry_for[s.id], Kind.P2, s.reward, ((s.id, Fraction(1)),))
+        for s in needs_move
+    ]
     initial = entry_for.get(g.initial, g.initial)
     result = Game(initial, tuple(out))
     require_valid(result)
@@ -351,22 +340,11 @@ def discount_transform(g: Game, delta: RationalLike) -> Game:
     taken = set(g.state_ids)
     sink = _fresh_id("__sink", taken)
     gate_for = {t: _fresh_id(f"{t}__disc", taken) for t in non_terminal_targets}
-    out: list[StateRecord] = []
-    for s in g.states:
-        if s.kind is Kind.TERMINAL:
-            out.append(s)
-            continue
-        transitions = tuple((gate_for.get(t, t), p) for t, p in s.transitions)
-        out.append(StateRecord(s.id, s.kind, s.reward, transitions))
-    for t, gate in gate_for.items():
-        out.append(
-            StateRecord(
-                gate,
-                Kind.CHANCE,
-                (Fraction(0), Fraction(0)),
-                ((sink, 1 - delta), (t, delta)),
-            )
-        )
+    out = _reroute(g, gate_for)
+    out += [
+        StateRecord(gate, Kind.CHANCE, (0, 0), ((sink, 1 - delta), (t, delta)))
+        for t, gate in gate_for.items()
+    ]
     out.append(
         StateRecord(
             sink, Kind.TERMINAL, (Fraction(0), Fraction(0)), ((sink, Fraction(1)),)
@@ -427,19 +405,28 @@ def game_from_json(data: Mapping) -> Game:
         raise InvalidGame(f"malformed game description: {exc}") from exc
 
 
-def load_game(path) -> Game:
+def _read_json(path, error: type[Exception]):
+    """The JSON document in the file at ``path``; a document that does not
+    decode raises ``error``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise InvalidGame(f"{path}: malformed JSON: {exc}") from exc
-    return game_from_json(data)
+            raise error(f"{path}: malformed JSON: {exc}") from exc
+
+
+def _write_json(data: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def load_game(path) -> Game:
+    return game_from_json(_read_json(path, InvalidGame))
 
 
 def save_game(g: Game, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_json(g), fh, indent=2)
-        fh.write("\n")
+    _write_json(game_to_json(g), path)
 
 
 # ---------------------------------------------------------------------------

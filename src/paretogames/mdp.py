@@ -41,29 +41,37 @@ MDStrategy = dict[str, str]  # Player-2 state id -> chosen successor id
 MDPolicy = dict[str, str]  # Player-1 state id -> chosen successor id
 
 
+def _require_choices(g: Game, kind: Kind, chosen: Mapping[str, str], what: str) -> None:
+    """Raise InvalidStrategy unless ``chosen`` sends each state of ``kind``,
+    and nothing else, to one of its successors (checked in listed order)."""
+    owned = [s for s in g.states if s.kind is kind]
+    if set(chosen) != {s.id for s in owned}:
+        player = "Player-1" if kind is Kind.P1 else "Player-2"
+        raise InvalidStrategy(
+            f"{what} domain {sorted(chosen)} != {player} states "
+            f"{sorted(s.id for s in owned)}"
+        )
+    for s in owned:
+        if chosen[s.id] not in s.successors:
+            raise InvalidStrategy(
+                f"{s.id}: chosen successor {chosen[s.id]!r} is not a successor"
+            )
+
+
 def induce_mdp(g: Game, sigma: Mapping[str, str]) -> Game:
     """Fix Player-2's choices: every Player-2 state becomes a chance state
     moving with probability 1 to sigma(s)."""
     require_valid(g)
-    p2_ids = {s.id for s in g.states if s.kind is Kind.P2}
-    if set(sigma) != p2_ids:
-        raise InvalidStrategy(
-            f"strategy domain {sorted(sigma)} != Player-2 states {sorted(p2_ids)}"
-        )
-    out = []
-    for s in g.states:
-        if s.kind is Kind.P2:
-            choice = sigma[s.id]
-            if choice not in s.successors:
-                raise InvalidStrategy(
-                    f"{s.id}: chosen successor {choice!r} is not a successor"
-                )
-            out.append(
-                StateRecord(s.id, Kind.CHANCE, s.reward, ((choice, Fraction(1)),))
-            )
-        else:
-            out.append(s)
-    return Game(g.initial, tuple(out))
+    _require_choices(g, Kind.P2, sigma, "strategy")
+    return Game(
+        g.initial,
+        tuple(
+            StateRecord(s.id, Kind.CHANCE, s.reward, ((sigma[s.id], Fraction(1)),))
+            if s.kind is Kind.P2
+            else s
+            for s in g.states
+        ),
+    )
 
 
 def _forced_moves(mdp: Game) -> MDStrategy:
@@ -82,23 +90,6 @@ def _forced_moves(mdp: Game) -> MDStrategy:
     return {s.id: s.successors[0] for s in mdp.states if s.kind is Kind.P2}
 
 
-def _policy_domain(mdp: Game) -> set[str]:
-    return {s.id for s in mdp.states if s.kind is Kind.P1}
-
-
-def _require_policy(mdp: Game, pol: Mapping[str, str]) -> None:
-    dom = _policy_domain(mdp)
-    if set(pol) != dom:
-        raise InvalidStrategy(
-            f"policy domain {sorted(pol)} != Player-1 states {sorted(dom)}"
-        )
-    for sid, choice in pol.items():
-        if choice not in mdp.state(sid).successors:
-            raise InvalidStrategy(
-                f"{sid}: chosen successor {choice!r} is not a successor"
-            )
-
-
 def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
     """Expected total reward pair from every state under the policy.
 
@@ -108,7 +99,7 @@ def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
     terminals forever."""
     require_valid(mdp)
     sigma = _forced_moves(mdp)
-    _require_policy(mdp, pol)
+    _require_choices(mdp, Kind.P1, pol, "policy")
     return _policy_values(mdp, {**sigma, **pol})
 
 
