@@ -455,8 +455,12 @@ class Trace:
 
 
 def step_bound(bg: BettingGame, B: RationalLike) -> int:
-    """ceil((B + W^|V|) / (W^|V| - W^(|V|+1))), from the potential growth."""
-    return math.ceil((as_fraction(B) + bg._w_powers[-1]) / bg._step_gain)
+    """ceil((B + W^|V|) / (W^|V| - W^(|V|+1))), from the potential growth.
+    The credit bound B must be positive; otherwise raises ValueError."""
+    B = as_fraction(B)
+    if B <= 0:
+        raise ValueError(f"credit bound must be positive, got {B}")
+    return math.ceil((B + bg._w_powers[-1]) / bg._step_gain)
 
 
 def simulate(
@@ -468,8 +472,8 @@ def simulate(
 ) -> Trace:
     """Play Eve's potential strategy against the supplied adversary until
     the play sits on a target vertex with at least the initial credit, or
-    the credit reaches B.  Requires Eve to win the reachability game from
-    every vertex.  Checks the exact per-step potential increment along the
+    the credit reaches B, which must be positive (ValueError otherwise).
+    Requires Eve to win the reachability game from every vertex.  Checks the exact per-step potential increment along the
     way (raising InvariantBroken if it fails) and never runs past the
     derived step bound.
 

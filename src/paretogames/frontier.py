@@ -391,38 +391,40 @@ def frontier_to_svg(
 ) -> str:
     """A standalone SVG drawing of the frontier with its rays clipped.
 
-    Floating point is used only to place pixels; the underlying data stays
-    exact.
+    The view box is exact; floating point is used only to place pixels, from
+    positions normalized to [0, 1], so coordinates of any size draw.
     """
     # local: xml.sax.saxutils imports urllib.request, about 7 MB resident
     from xml.sax.saxutils import escape
-    xs = [float(x) for x, _ in f.vertices]
-    ys = [float(y) for _, y in f.vertices]
-    span_x = max(xs) - min(xs) or 1.0
-    span_y = max(ys) - min(ys) or 1.0
-    pad_x, pad_y = 0.25 * span_x, 0.25 * span_y
-    lo_x, hi_x = min(xs) - pad_x, max(xs) + pad_x
-    lo_y, hi_y = min(ys) - pad_y, max(ys) + pad_y
+    xs = [x for x, _ in f.vertices]
+    ys = [y for _, y in f.vertices]
+
+    def view(vals: list[Fraction]) -> tuple[Fraction, Fraction]:
+        pad = (max(vals) - min(vals) or Fraction(1)) / 4
+        return min(vals) - pad, max(vals) + pad
+
+    (lo_x, hi_x), (lo_y, hi_y) = view(xs), view(ys)
     margin = 40.0
 
-    def px(x: float) -> float:
-        return margin + (x - lo_x) / (hi_x - lo_x) * (width - 2 * margin)
+    def px(x: Fraction) -> float:
+        return margin + float((x - lo_x) / (hi_x - lo_x)) * (width - 2 * margin)
 
-    def py(y: float) -> float:
-        return height - margin - (y - lo_y) / (hi_y - lo_y) * (height - 2 * margin)
+    def py(y: Fraction) -> float:
+        u = float((y - lo_y) / (hi_y - lo_y))
+        return height - margin - u * (height - 2 * margin)
 
     # polyline with the horizontal ray clipped at the left edge and the
     # vertical ray clipped at the bottom edge
-    coords = [(lo_x, ys[0])] + list(zip(xs, ys)) + [(xs[-1], lo_y)]
+    coords = [(lo_x, ys[0]), *f.vertices, (xs[-1], lo_y)]
     points_attr = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in coords)
     dots = "".join(
         f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#c0392b"/>'
-        for x, y in zip(xs, ys)
+        for x, y in f.vertices
     )
     labels = "".join(
         f'<text x="{px(x) + 6:.2f}" y="{py(y) - 6:.2f}" font-size="10" '
-        f'fill="#333">({vx},{vy})</text>'
-        for (x, y), (vx, vy) in zip(zip(xs, ys), f.vertices)
+        f'fill="#333">({x},{y})</text>'
+        for x, y in f.vertices
     )
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

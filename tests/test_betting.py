@@ -360,6 +360,29 @@ def test_step_bound_formula():
     assert step_bound(bg, 100) == -(-(100 + w**3) // delta)
 
 
+def _all_winning_arena(credit) -> BettingGame:
+    half = F(1, 2)
+    return BettingGame(
+        (
+            BetVertex("v0", "eve", (("v1", half), ("v2", half))),
+            BetVertex("v1", "eve", (("v0", half), ("v2", half))),
+            BetVertex("v2", "adam", (("v0", half), ("v1", half))),
+        ),
+        BettingConfig("v1", credit),
+    )
+
+
+@pytest.mark.parametrize("bound", [0, -5, F(-1, 3)])
+def test_a_credit_bound_of_zero_or_below_is_rejected(bound):
+    # a bound of 0 or below is met before any step, so no play can prove
+    # anything; step_bound, and with it every play, refuses it
+    bg = _all_winning_arena(F(3))
+    with pytest.raises(ValueError, match="credit bound must be positive"):
+        step_bound(bg, bound)
+    with pytest.raises(ValueError, match="credit bound must be positive"):
+        simulate(bg, {"v0"}, bound, RandomAdam(0))
+
+
 def test_max_steps_cuts_simulation_short():
     bg = BettingGame(
         (

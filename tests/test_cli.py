@@ -286,6 +286,37 @@ def test_solve_vi_svg_output(fig3_path, tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-vi", "--epsilon", "1/1000", "--max-iters", "10"], ["solve-determined"]],
+)
+def test_svg_draws_coordinates_beyond_float_range(tmp_path, capsys, argv):
+    from xml.dom.minidom import parse
+
+    huge = 10**400
+    g = Game(
+        "s",
+        (
+            StateRecord("s", Kind.P1, (0, 0), (("a", 1), ("b", 1))),
+            StateRecord("a", Kind.P2, (huge, 0), (("t", 1),)),
+            StateRecord("b", Kind.P2, (0, huge), (("t", 1),)),
+            StateRecord("t", Kind.TERMINAL, (0, 0), (("t", 1),)),
+        ),
+    )
+    path = tmp_path / "huge.json"
+    save_game(g, path)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, argv[0], str(path), *argv[1:], "--svg", "--out-dir", str(out_dir)
+    )
+    assert code == 0, err
+    for sid in "sab":
+        svg = parse(str(out_dir / f"{sid}.svg"))
+        assert svg.getElementsByTagName("polyline")
+    labels = parse(str(out_dir / "s.svg")).getElementsByTagName("text")
+    assert labels[-1].firstChild.data == f"({huge},0)"
+
+
 # ---------------------------------------------------------------------------
 # solve-determined / query
 
@@ -794,6 +825,16 @@ def test_betting_sim_rejects_an_empty_target_set(betting_path, capsys, target):
     code, out, err = run(capsys, "betting-sim", path, "--target", target)
     assert code == 2 and out == ""
     assert err == "error: ValueError: --target names no vertex\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_betting_sim_rejects_a_bound_of_zero_or_below(betting_path, capsys, bound):
+    path, targets = betting_path
+    code, out, err = run(
+        capsys, "betting-sim", path, "--target", targets, "--bound", bound
+    )
+    assert code == 2 and "run " not in out
+    assert err == f"error: ValueError: credit bound must be positive, got {bound}\n"
 
 
 def test_betting_sim_rejects_unknown_target(betting_path, capsys):
