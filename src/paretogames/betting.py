@@ -322,8 +322,9 @@ class _BaseAdam:
         return self._attr.a.get(vid, -1)
 
     def _stake_all(self, v, credit, on_guided):
-        """The valuation that bets the whole credit on v's guided successor
-        (sigma's choice, else the first), or else on the other one."""
+        """The valuation that bets the whole credit on one successor of v:
+        the guided one (sigma's choice, else the first) if ``on_guided``,
+        else the other."""
         guided = self._attr.sigma.get(v.id, v.successors[0])
         (t1, w1), (_, w2) = v.edges
         if (t1 == guided) == on_guided:

@@ -228,8 +228,6 @@ def _cmd_betting_sim(args) -> int:
         raise ValueError("--target names no vertex")
     bound = as_fraction(args.bound)
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
     factory = ADAM_FACTORIES[args.adam]
     for run in range(args.runs):
         adam = factory(args.seed + run)
@@ -239,7 +237,8 @@ def _cmd_betting_sim(args) -> int:
             f"run {run}: end=({last.vertex},{fraction_str(last.credit)}) "
             f"steps={len(trace.steps) - 1} reason={trace.end}"
         )
-        if out_dir:
+        if out_dir:  # made only once a play has succeeded
+            out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / f"trace_{run}.csv").write_text(trace_to_csv(trace))
     print(f"all {args.runs} runs reached the target set")
     return OK

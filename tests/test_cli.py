@@ -828,13 +828,18 @@ def test_betting_sim_rejects_an_empty_target_set(betting_path, capsys, target):
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
-def test_betting_sim_rejects_a_bound_of_zero_or_below(betting_path, capsys, bound):
+def test_betting_sim_rejects_a_bound_of_zero_or_below(
+    betting_path, tmp_path, capsys, bound
+):
     path, targets = betting_path
+    out_dir = tmp_path / "traces"
     code, out, err = run(
-        capsys, "betting-sim", path, "--target", targets, "--bound", bound
+        capsys, "betting-sim", path, "--target", targets, "--bound", bound,
+        "--out-dir", str(out_dir),
     )
     assert code == 2 and "run " not in out
     assert err == f"error: ValueError: credit bound must be positive, got {bound}\n"
+    assert not out_dir.exists()
 
 
 def test_betting_sim_rejects_unknown_target(betting_path, capsys):
