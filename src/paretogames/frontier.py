@@ -82,13 +82,6 @@ def as_point(pair: Sequence[RationalLike]) -> Point:
     return (as_fraction(pair[0]), as_fraction(pair[1]))
 
 
-def _slopes(verts: Sequence[Point]) -> tuple[Fraction, ...]:
-    """Slope of each segment of a vertex list with x strictly increasing."""
-    return tuple(
-        (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
-    )
-
-
 @dataclass(frozen=True)
 class Frontier:
     """Canonical Pareto frontier of a downward-closed convex planar set."""
@@ -103,22 +96,23 @@ class Frontier:
             raise EmptyInput("a frontier needs at least one vertex")
         verts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
+        slopes = []
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             if not (x0 < x1 and y0 > y1):
                 raise ValueError(
                     f"vertices must be strictly decreasing staircase-free: "
                     f"({x0},{y0}) then ({x1},{y1})"
                 )
+            slopes.append((y1 - y0) / (x1 - x0))
         # with x strictly increasing, strict concavity is exactly strictly
         # decreasing segment slopes
-        slopes = _slopes(verts)
         for i in range(len(slopes) - 1):
             if slopes[i] <= slopes[i + 1]:
                 raise ValueError(
                     f"vertices must be strictly concave: {verts[i]}, "
                     f"{verts[i + 1]}, {verts[i + 2]} are not"
                 )
-        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "slopes", tuple(slopes))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -164,44 +158,34 @@ def canonicalize(points: PointsLike) -> Frontier:
     Keeps the maximal (non-dominated) points, then the upper concave chain
     of those, removing collinear interior vertices.  Idempotent.
     """
-    pts = sorted(set(_vertices_of(points)))
+    pts = sorted(_vertices_of(points))
     if not pts:
         raise EmptyInput("cannot build a frontier from no points")
     return _hull_of_sorted(pts)
 
 
 def _hull_of_sorted(pts: Sequence[Point]) -> Frontier:
-    """Frontier of nonempty points sorted by (x, y), repeats allowed."""
-    # Domination sweep: walk x descending, keep points with strictly
-    # increasing y.  Equal x was collapsed to the max y by the sort order.
-    kept: list[Point] = []
-    best_y: Fraction | None = None
-    i = len(pts) - 1
-    while i >= 0:
-        x = pts[i][0]
-        # the last point with this x in sorted order has the greatest y
-        top = pts[i]
-        while i >= 0 and pts[i][0] == x:
-            i -= 1
-        if best_y is None or top[1] > best_y:
-            kept.append(top)
-            best_y = top[1]
-    kept.reverse()  # now x strictly increasing, y strictly decreasing
-    # Upper concave hull: drop the last hull vertex while the segment to p
-    # is not strictly steeper-down than the segment into it (collinear or a
-    # convex dent).
-    hull = [kept[0]]
-    slopes: list[Fraction] = []  # slopes[k]: hull[k] -> hull[k + 1]
-    for x, y in kept[1:]:
+    """Frontier of nonempty points sorted by (x, y), repeats allowed, by one
+    monotone-chain pass from the right (Andrew 1979).  A point not above the
+    last kept vertex is dominated (the first point met of each x is its
+    highest, so repeats and lower points with that x go too).  The last kept
+    vertex is popped while the segment from the new point is not strictly
+    flatter than the one after it (collinear or a convex dent)."""
+    hull = [pts[-1]]
+    slopes: list[Fraction] = []  # slopes[k]: hull[k + 1] -> hull[k]
+    for x, y in reversed(pts):
+        if y <= hull[-1][1]:
+            continue
         while True:
-            x0, y0 = hull[-1]
-            s = (y - y0) / (x - x0)
-            if not slopes or slopes[-1] > s:
+            x1, y1 = hull[-1]
+            s = (y1 - y) / (x1 - x)
+            if not slopes or s > slopes[-1]:
                 break
             hull.pop()
             slopes.pop()
         hull.append((x, y))
         slopes.append(s)
+    hull.reverse()
     return Frontier(tuple(hull))
 
 

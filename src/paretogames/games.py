@@ -179,27 +179,21 @@ def check_stopping(g: Game) -> StoppingReport:
     with positive probability).  The game is stopping iff nothing survives —
     both players cooperating cannot avoid the terminals.
 
-    Linear in the size of the game: a worklist of deleted states visits each
-    transition once, counting down each controlled predecessor's remaining
-    successors.  The set that survives is the same for any deletion order.
+    Linear in the size of the game: a worklist seeded with the terminals
+    visits each transition into a deleted state once, counting down each
+    controlled predecessor's remaining successors.  The set that survives
+    is the same for any deletion order.
     """
     require_valid(g)
     alive: set[str] = {s.id for s in g.states if s.kind is not Kind.TERMINAL}
     preds: dict[str, list[StateRecord]] = {s.id: [] for s in g.states}
     remaining: dict[str, int] = {}  # controlled state -> successors alive
-    doomed: list[str] = []
     for s in g.states:
-        if s.id not in alive:
-            continue
         for t in s.successors:
             preds[t].append(s)
         if s.kind in CONTROLLED:
-            remaining[s.id] = sum(t in alive for t in s.successors)
-            if not remaining[s.id]:
-                doomed.append(s.id)
-        elif not all(t in alive for t in s.successors):  # chance
-            doomed.append(s.id)
-    alive.difference_update(doomed)
+            remaining[s.id] = len(s.transitions)
+    doomed = [s.id for s in g.states if s.kind is Kind.TERMINAL]
     while doomed:
         t = doomed.pop()
         for s in preds[t]:
