@@ -321,6 +321,10 @@ class _BaseAdam:
     def _a(self, vid: str) -> int:
         return self._attr.a.get(vid, -1)
 
+    def choose(self, bg, v, credit):
+        """The successor farthest from the targets, prolonging the walk."""
+        return max(v.successors, key=self._a)
+
     def _stake_all(self, v, credit, on_guided):
         """The valuation that bets the whole credit on one successor of v:
         the guided one (sigma's choice, else the first) if ``on_guided``,
@@ -356,18 +360,12 @@ class StarveAdam(_BaseAdam):
     def valuation(self, bg, v, credit):
         return self._stake_all(v, credit, on_guided=False)
 
-    def choose(self, bg, v, credit):
-        return max(v.successors, key=self._a)
-
 
 class EqualSplitAdam(_BaseAdam):
     """Bets the current credit on both edges, keeping it constant."""
 
     def valuation(self, bg, v, credit):
         return (credit, credit)
-
-    def choose(self, bg, v, credit):
-        return max(v.successors, key=self._a)
 
 
 class FundTargetAdam(_BaseAdam):
