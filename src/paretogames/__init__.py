@@ -24,6 +24,7 @@ from .errors import (
     GameSolverError,
     HypothesisViolated,
     IncompleteCurveMap,
+    InvalidArgument,
     InvalidBettingGame,
     InvalidCurveFile,
     InvalidGame,

@@ -37,6 +37,7 @@ from typing import Iterator, Mapping
 
 from .errors import (
     IncompleteCurveMap,
+    InvalidArgument,
     InvariantBroken,
     NonPositiveEpsilon,
 )
@@ -185,7 +186,7 @@ def tail_bound(g: Game, n: int) -> Fraction:
     (1-q)^k * |S| * R — a closed-form geometric sum.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     require_stopping(g, "tail bound requires a stopping game")
     ceiling, decay = _tail_terms(g)
     return ceiling * decay ** (n // len(g.states))
@@ -303,7 +304,7 @@ def value_iterate(
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+        raise InvalidArgument(f"max_iters must be >= 0, got {max_iters}")
     stopping = check_stopping(g).stopping
     if stopping:
         ceiling, _ = _tail_terms(g)

@@ -39,6 +39,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 from .errors import (
     AdamCheated,
     HypothesisViolated,
+    InvalidArgument,
     InvalidBettingGame,
     InvalidValuation,
     InvariantBroken,
@@ -455,10 +456,10 @@ class Trace:
 
 def step_bound(bg: BettingGame, B: RationalLike) -> int:
     """ceil((B + W^|V|) / (W^|V| - W^(|V|+1))), from the potential growth.
-    The credit bound B must be positive; otherwise raises ValueError."""
+    The credit bound B must be positive; otherwise raises InvalidArgument."""
     B = as_fraction(B)
     if B <= 0:
-        raise ValueError(f"credit bound must be positive, got {B}")
+        raise InvalidArgument(f"credit bound must be positive, got {B}")
     return math.ceil((B + bg._w_powers[-1]) / bg._step_gain)
 
 
@@ -471,7 +472,7 @@ def simulate(
 ) -> Trace:
     """Play Eve's potential strategy against the supplied adversary until
     the play sits on a target vertex with at least the initial credit, or
-    the credit reaches B, which must be positive (ValueError otherwise).
+    the credit reaches B, which must be positive (InvalidArgument otherwise).
     Requires Eve to win the reachability game from every vertex.  Checks the exact per-step potential increment along the
     way (raising InvariantBroken if it fails) and never runs past the
     derived step bound.

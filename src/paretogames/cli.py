@@ -33,6 +33,7 @@ from .determined import certified_curves, check_determinacy
 from .errors import (
     GameSolverError,
     HypothesisViolated,
+    InvalidArgument,
     InvalidCurveFile,
     InvariantBroken,
     NotStopping,
@@ -67,7 +68,7 @@ _EXIT_CODES = (
     (StepBoundExceeded, LIMIT),
     ((NotStopping, NotStoppingUnderPolicy, HypothesisViolated), NEGATIVE),
     (InvariantBroken, INTERNAL),
-    ((GameSolverError, ValueError, TypeError, OSError), INPUT_ERROR),
+    ((GameSolverError, OSError), INPUT_ERROR),
     (Exception, INTERNAL),
 )
 
@@ -116,7 +117,7 @@ def _print_curves(curves: Mapping[str, Frontier]) -> None:
 def _parse_point(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"point must be 'x,y', got {text!r}")
+        raise InvalidArgument(f"point must be 'x,y', got {text!r}")
     return (as_fraction(parts[0].strip()), as_fraction(parts[1].strip()))
 
 
@@ -221,11 +222,11 @@ def _cmd_audit(args) -> int:
 
 def _cmd_betting_sim(args) -> int:
     if args.runs < 1:
-        raise ValueError(f"--runs must be at least 1, got {args.runs}")
+        raise InvalidArgument(f"--runs must be at least 1, got {args.runs}")
     bg = load_betting(args.betting)
     targets = frozenset(t.strip() for t in args.target.split(",") if t.strip())
     if not targets:
-        raise ValueError("--target names no vertex")
+        raise InvalidArgument("--target names no vertex")
     bound = as_fraction(args.bound)
     out_dir = Path(args.out_dir) if args.out_dir else None
     factory = ADAM_FACTORIES[args.adam]

@@ -20,7 +20,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from .bellman import CurveMap, check_fixpoint, value_iterate
-from .errors import NonPositiveEpsilon
+from .errors import InvalidArgument, NonPositiveEpsilon
 from .frontier import Point, RationalLike, as_fraction, intersect_min
 from .games import Game, Kind, require_stopping, require_valid
 from .mdp import (
@@ -168,7 +168,7 @@ def certified_curves(
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        raise InvalidArgument(f"max_iters must be >= 1, got {max_iters}")
     require_stopping(g, "an achievability query requires a stopping game")
     p2 = [len(s.successors) for s in g.states if s.kind is Kind.P2]
     if prod(p2) <= MAX_ENUMERATED_STRATEGIES:

@@ -1,10 +1,15 @@
 """Exception hierarchy for the solver.
 
-Every error raised by this package derives from :class:`GameSolverError`,
-so callers can catch one type at the boundary.  The leaf classes mirror the
-distinct failure modes of the public operations: malformed geometry input,
-malformed game input, preconditions on solver calls, protocol violations
-during betting-game simulation, and broken internal invariants.
+Every error that this package raises for bad input or an unmet
+precondition derives from :class:`GameSolverError`, so callers can catch
+one type at the boundary.  The leaf classes mirror the distinct failure
+modes of the public operations: malformed geometry input, malformed game
+input, bad argument values, preconditions on solver calls, protocol
+violations during betting-game simulation, and broken internal invariants.
+A builtin ``ValueError`` or ``TypeError`` is either a library caller's
+wrong type (``as_fraction`` and ``as_point`` reject one) or a non-canonical
+vertex list passed to ``Frontier`` directly; inside the command line, where
+curves are built only by the package, it is a bug.
 """
 
 from __future__ import annotations
@@ -64,6 +69,12 @@ class DeltaOutOfRange(GameSolverError):
 
 # ---------------------------------------------------------------------------
 # Solving preconditions
+
+
+class InvalidArgument(GameSolverError, ValueError):
+    """An argument value that cannot be used: an unreadable rational, a
+    malformed point, a nonpositive credit bound or run count, a negative
+    iteration cap.  Also a ``ValueError``, which it was raised as before."""
 
 
 class NonPositiveEpsilon(GameSolverError):

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence, Union
 from .errors import (
     BadDirection,
     EmptyInput,
+    InvalidArgument,
     InvalidCurveFile,
     OutOfDomain,
     WeightsInvalid,
@@ -58,12 +59,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, bool):  # bool is an int; reject it as a coordinate
         raise TypeError("boolean is not a coordinate")
     if isinstance(value, str) and "e" in value.lower():  # "1e9999999" is huge
-        raise ValueError(f"exponent notation is not accepted: {value!r}")
+        raise InvalidArgument(f"exponent notation is not accepted: {value!r}")
     if isinstance(value, (int, str, Rational)):
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise InvalidArgument(f"zero denominator in {value!r}") from None
+        except ValueError as exc:  # a string that is no rational literal
+            raise InvalidArgument(str(exc)) from None
     if isinstance(value, float):
         raise TypeError(
             "float coordinates are not accepted; pass Fraction, int, or 'p/q' string"

@@ -405,7 +405,9 @@ def _read_json(path, error: type[Exception]):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # integer digit limit
+        except (ValueError, RecursionError) as exc:
             raise error(f"{path}: malformed JSON: {exc}") from exc
 
 

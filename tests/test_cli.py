@@ -487,7 +487,7 @@ def test_query_rejects_a_point_without_two_coordinates(heating_path, capsys, poi
         capsys, "query", heating_path, "--state", "CC1", f"--point={point}"
     )
     assert (code, out) == (2, "")
-    assert err == f"error: ValueError: point must be 'x,y', got '{point}'\n"
+    assert err == f"error: InvalidArgument: point must be 'x,y', got '{point}'\n"
 
 
 def test_query_rejects_exponent_notation(heating_path, capsys):
@@ -496,8 +496,17 @@ def test_query_rejects_exponent_notation(heating_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err == (
-        "error: ValueError: exponent notation is not accepted: '1e10000000'\n"
+        "error: InvalidArgument: exponent notation is not accepted: '1e10000000'\n"
     )
+
+
+def test_solve_vi_rejects_a_malformed_rational(heating_path, tmp_path, capsys):
+    code, out, err = run(
+        capsys, "solve-vi", heating_path, "--epsilon", "abc",
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidArgument: ") and "'abc'" in err
 
 
 def test_solve_determined_always_reports_not_determined(tmp_path, capsys):
@@ -647,6 +656,8 @@ def _write_bytes(path: Path, data: bytes) -> Path:
 
 
 NOT_JSON, NOT_UTF8, TOO_DEEP = b"{nope", b'"\xff"', b"[" * 10**5 + b"]" * 10**5
+# an integer literal past the interpreter's digit limit for int conversion
+LONG_INT = b"[" + b"1" * 5000 + b"]"
 
 
 @pytest.mark.parametrize(
@@ -657,6 +668,8 @@ NOT_JSON, NOT_UTF8, TOO_DEEP = b"{nope", b'"\xff"', b"[" * 10**5 + b"]" * 10**5
         (lambda tmp, game: ["validate", str(_write_bytes(tmp / "g.json", NOT_UTF8))],
          "InvalidGame", "g.json"),
         (lambda tmp, game: ["validate", str(_write_bytes(tmp / "g.json", TOO_DEEP))],
+         "InvalidGame", "g.json"),
+        (lambda tmp, game: ["validate", str(_write_bytes(tmp / "g.json", LONG_INT))],
          "InvalidGame", "g.json"),
         (lambda tmp, game: ["betting-sim", str(_write_bytes(tmp / "b.json", NOT_JSON)),
                             "--target", "v0"], "InvalidBettingGame", "b.json"),
@@ -678,7 +691,8 @@ NOT_JSON, NOT_UTF8, TOO_DEEP = b"{nope", b'"\xff"', b"[" * 10**5 + b"]" * 10**5
         (lambda tmp, game: ["audit", game, "--curves", game],
          "NotADirectoryError", "heating.json"),
     ],
-    ids=["validate-json", "validate-utf8", "validate-deep", "betting-json",
+    ids=["validate-json", "validate-utf8", "validate-deep", "validate-long-int",
+         "betting-json",
          "betting-utf8", "betting-deep", "audit-csv-utf8", "audit-csv-row",
          "audit-csv-empty", "audit-missing-dir", "audit-file-as-dir"],
 )
@@ -815,7 +829,7 @@ def test_betting_sim_rejects_runs_below_one(betting_path, tmp_path, capsys):
         str(out_dir),
     )
     assert code == 2 and out == ""
-    assert err == "error: ValueError: --runs must be at least 1, got -2\n"
+    assert err == "error: InvalidArgument: --runs must be at least 1, got -2\n"
     assert not out_dir.exists()
 
 
@@ -824,7 +838,7 @@ def test_betting_sim_rejects_an_empty_target_set(betting_path, capsys, target):
     path, _ = betting_path
     code, out, err = run(capsys, "betting-sim", path, "--target", target)
     assert code == 2 and out == ""
-    assert err == "error: ValueError: --target names no vertex\n"
+    assert err == "error: InvalidArgument: --target names no vertex\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
@@ -838,7 +852,7 @@ def test_betting_sim_rejects_a_bound_of_zero_or_below(
         "--out-dir", str(out_dir),
     )
     assert code == 2 and "run " not in out
-    assert err == f"error: ValueError: credit bound must be positive, got {bound}\n"
+    assert err == f"error: InvalidArgument: credit bound must be positive, got {bound}\n"
     assert not out_dir.exists()
 
 
@@ -926,16 +940,19 @@ def test_unexpected_exception_is_an_internal_error(heating_path, capsys, monkeyp
     assert err == "error: internal: RuntimeError: deliberately broken\n"
 
 
+@pytest.mark.parametrize("kind", [KeyError, ValueError, TypeError])
 def test_key_error_in_a_solver_is_an_internal_error(
-    heating_path, capsys, monkeypatch
+    heating_path, capsys, monkeypatch, kind
 ):
+    """A builtin error raised inside a solver is a bug, never bad input."""
     def broken(response):
-        raise KeyError("deliberately broken")
+        raise kind("deliberately broken")
 
     monkeypatch.setattr(paretogames.determined, "_pareto_curves", broken)
     code, out, err = run(capsys, "solve-determined", heating_path)
     assert code == 4 and out == ""
-    assert err == "error: internal: KeyError: 'deliberately broken'\n"
+    message = "'deliberately broken'" if kind is KeyError else "deliberately broken"
+    assert err == f"error: internal: {kind.__name__}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
