@@ -1,15 +1,13 @@
 """Exception hierarchy for the solver.
 
-Every error that this package raises for bad input or an unmet
-precondition derives from :class:`GameSolverError`, so callers can catch
-one type at the boundary.  The leaf classes mirror the distinct failure
-modes of the public operations: malformed geometry input, malformed game
-input, bad argument values, preconditions on solver calls, protocol
-violations during betting-game simulation, and broken internal invariants.
-A builtin ``ValueError`` or ``TypeError`` is either a library caller's
-wrong type (``as_fraction`` and ``as_point`` reject one) or a non-canonical
-vertex list passed to ``Frontier`` directly; inside the command line, where
-curves are built only by the package, it is a bug.
+Every error raised for bad input or an unmet precondition derives from
+:class:`GameSolverError`, so callers can catch one type at the boundary.
+The leaf classes mirror the distinct failure modes of the public operations:
+malformed geometry input, malformed game input, bad argument values,
+preconditions on solver calls, protocol violations during betting-game
+simulation, and broken internal invariants.  A builtin ``TypeError`` or
+``ValueError`` means a wrong type passed to ``as_fraction``/``as_point`` or
+a non-canonical ``Frontier(...)``: from the command line, a bug.
 """
 
 from __future__ import annotations

@@ -405,8 +405,7 @@ def _read_json(path, error: type[Exception]):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
-        # integer digit limit
+        # ValueError: JSONDecodeError, UnicodeDecodeError, the int digit limit
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: malformed JSON: {exc}") from exc
 
