@@ -1,10 +1,10 @@
 """Check the benchmark's output on every workload that BENCHMARK.json lists.
 
-    python3 .github/check_bench_output.py [--seconds 2]
+    python3 .github/check_bench_output.py
 
-Runs ``perfbench/run.py`` on each workload, untraced and traced.  Each run
-must exit 0 and print no ``absent:`` line (a traced function that the
-package no longer has), and its last line must be a JSON object with
+Runs ``perfbench/run.py`` for 2 s on each workload, untraced and traced.
+Each run must exit 0 and print no ``absent:`` line (a traced function that
+the package no longer has), and its last line must be a JSON object with
 ``correct`` true whose metric names are exactly BENCHMARK.json's
 ``end_to_end`` names (untraced) or its ``per_layer`` names (traced).
 Prints one line per run and exits 1 if any run breaks this.
@@ -12,19 +12,19 @@ Prints one line per run and exits 1 if any run breaks this.
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SECONDS = "2"
 
 
-def problems(spec: dict, workload: str, trace: int, seconds: str) -> list[str]:
+def problems(spec: dict, workload: str, trace: int) -> list[str]:
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", seconds, "--trace", str(trace)],
+         "--seconds", SECONDS, "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True,
     )
     lines = run.stdout.splitlines()
@@ -47,14 +47,11 @@ def problems(spec: dict, workload: str, trace: int, seconds: str) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", default="2")
-    args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     failed = False
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            found = problems(spec, workload, trace, args.seconds)
+            found = problems(spec, workload, trace)
             failed |= bool(found)
             print(f"{workload} --trace {trace}: " + ("; ".join(found) or "ok"))
     return 1 if failed else 0

@@ -20,6 +20,7 @@ from .errors import (
     AdamCheated,
     BadDirection,
     DeltaOutOfRange,
+    DigitLimitExceeded,
     EmptyInput,
     GameSolverError,
     HypothesisViolated,

@@ -7,8 +7,9 @@ it writes or prints them, then ends with ``determined: true`` (exit 0) or
 
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal
-limit reached (iteration cap without convergence, betting step bound or
-exhausted betting credit); 4 internal fault (a broken invariant or any
+limit reached (iteration cap without convergence, betting step bound,
+exhausted betting credit, or an exact value with more digits than the
+interpreter writes out); 4 internal fault (a broken invariant or any
 other unexpected exception, i.e. a bug in this package).  Every error exits
 through a single one-line, machine-parsable message on stderr:
 ``error: <ExceptionName>: <detail>``, or ``error: internal:
@@ -31,6 +32,7 @@ from .bellman import CurveMap, achievable_within, value_iterate
 from .betting import ADAM_FACTORIES, load_betting, simulate, trace_to_csv
 from .determined import certified_curves, check_determinacy
 from .errors import (
+    DigitLimitExceeded,
     GameSolverError,
     HypothesisViolated,
     InvalidArgument,
@@ -65,7 +67,7 @@ INTERNAL = 4
 
 # The first matching row gives the exit code; the last one catches package bugs.
 _EXIT_CODES = (
-    (StepBoundExceeded, LIMIT),
+    ((StepBoundExceeded, DigitLimitExceeded), LIMIT),
     ((NotStopping, NotStoppingUnderPolicy, HypothesisViolated), NEGATIVE),
     (InvariantBroken, INTERNAL),
     ((GameSolverError, OSError), INPUT_ERROR),

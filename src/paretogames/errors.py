@@ -41,6 +41,12 @@ class InvalidCurveFile(GameSolverError):
     """A curve CSV row is not two comma-separated rational coordinates."""
 
 
+class DigitLimitExceeded(GameSolverError, ValueError):
+    """An exact value has more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``), so it cannot be written out in a form
+    that reads back.  Also a ``ValueError``, which it was raised as before."""
+
+
 # ---------------------------------------------------------------------------
 # Game structure
 

@@ -37,6 +37,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (
     BadDirection,
+    DigitLimitExceeded,
     EmptyInput,
     InvalidArgument,
     InvalidCurveFile,
@@ -76,7 +77,10 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 def fraction_str(x: Fraction) -> str:
     """The explicit ``"num/den"`` text that ``as_fraction`` reads back."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past the interpreter's int-to-text digit limit
+        raise DigitLimitExceeded(str(exc)) from None
 
 
 def as_point(pair: Sequence[RationalLike]) -> Point:

@@ -20,6 +20,7 @@ from paretogames import (
     Kind,
     StateRecord,
     frontier_to_csv,
+    make_game,
     save_betting,
     save_game,
     value_iterate,
@@ -953,6 +954,32 @@ def test_key_error_in_a_solver_is_an_internal_error(
     assert code == 4 and out == ""
     message = "'deliberately broken'" if kind is KeyError else "deliberately broken"
     assert err == f"error: internal: {kind.__name__}: {message}\n"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no limit on int-to-text conversion",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [lambda game, tmp: ["solve-determined", game],
+     lambda game, tmp: ["solve-vi", game, "--out-dir", str(tmp / "curves")]],
+    ids=["solve-determined", "solve-vi"],
+)
+def test_a_value_past_the_digit_limit_is_a_limit_reached(argv, tmp_path, capsys):
+    """Each reward has as many digits as the loader reads, but their sum has
+    one more than the interpreter writes out: exit 3, neither bad input nor
+    a bug."""
+    big = "9" * sys.get_int_max_str_digits()
+    game = tmp_path / "big.json"
+    save_game(make_game("a", [
+        ("a", "p1", (big, 0), [("b", 1)]),
+        ("b", "p1", (big, 0), [("t", 1)]),
+        ("t", "terminal", (0, 0), [("t", 1)]),
+    ]), game)
+    code, _, err = run(capsys, *argv(str(game), tmp_path))
+    assert code == 3
+    assert err.startswith("error: DigitLimitExceeded: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
