@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import InvariantBroken, RelationMismatch
 from .frontier import (
@@ -90,17 +90,18 @@ class AuditReport:
 
 
 class _Collector:
-    """Accumulates findings and counts every executed check."""
+    """Accumulates findings and counts every executed check; a check's
+    detail is a callable, formatted only when the check fails."""
 
     def __init__(self) -> None:
         self.where = ""
         self.findings: list[AuditFinding] = []
         self.checks = 0
 
-    def check(self, ok: bool, name: str, detail: str) -> bool:
+    def check(self, ok: bool, name: str, detail: Callable[[], str]) -> bool:
         self.checks += 1
         if not ok:
-            self.findings.append(AuditFinding(self.where, name, detail))
+            self.findings.append(AuditFinding(self.where, name, detail()))
         return ok
 
     def report(self) -> AuditReport:
@@ -124,21 +125,23 @@ def audit_frontier(f: PointsLike) -> AuditReport:
     """
     col = _Collector()
     verts = _vertices_of(f)
-    col.check(bool(verts), "empty", "a frontier needs at least one vertex")
+    col.check(bool(verts), "empty", lambda: "a frontier needs at least one vertex")
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
         col.check(
-            x0 < x1, "x not increasing", f"x {x0} then {x1} (with y {y0}, {y1})"
+            x0 < x1, "x not increasing", lambda: f"x {x0} then {x1} (with y {y0}, {y1})"
         )
         col.check(
-            y0 > y1, "y not decreasing", f"y {y0} then {y1} (at x {x0}, {x1})"
+            y0 > y1, "y not decreasing", lambda: f"y {y0} then {y1} (at x {x0}, {x1})"
         )
     for a, b, c in zip(verts, verts[1:], verts[2:]):
         cr = _cross(a, b, c)
-        col.check(cr <= 0, "not concave", f"{a}, {b}, {c} turn left (cross {cr})")
+        col.check(
+            cr <= 0, "not concave", lambda: f"{a}, {b}, {c} turn left (cross {cr})"
+        )
         col.check(
             cr < 0,
             "slope not strictly decreasing",
-            f"{a}, {b}, {c} are collinear or convex (cross {cr})",
+            lambda: f"{a}, {b}, {c} are collinear or convex (cross {cr})",
         )
     return col.report()
 
@@ -165,7 +168,7 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
         col.check(
             (x, y) in succ_vertices,
             "parent vertex not a successor vertex",
-            f"({x},{y}) belongs to neither successor",
+            lambda: f"({x},{y}) belongs to neither successor",
         )
         if x > succ1.x_last or x > succ2.x_last:
             continue  # a successor slope is undefined at this x
@@ -175,12 +178,12 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
         col.check(
             min(l1, l2) <= l0 <= max(l1, l2),
             "lslope not sandwiched",
-            f"at x={x}: parent {l0} outside [{min(l1, l2)}, {max(l1, l2)}]",
+            lambda: f"at x={x}: parent {l0} outside [{min(l1, l2)}, {max(l1, l2)}]",
         )
         col.check(
             min(r1, r2) <= r0 <= max(r1, r2),
             "rslope not sandwiched",
-            f"at x={x}: parent {r0} outside [{min(r1, r2)}, {max(r1, r2)}]",
+            lambda: f"at x={x}: parent {r0} outside [{min(r1, r2)}, {max(r1, r2)}]",
         )
     return col.report()
 
@@ -220,31 +223,31 @@ def audit_p2(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
             col.check(
                 l0 == max(l1, l2),
                 "lslope not max at equality",
-                f"at x={x}: parent {l0} != max({l1}, {l2})",
+                lambda: f"at x={x}: parent {l0} != max({l1}, {l2})",
             )
             col.check(
                 r0 == min(r1, r2),
                 "rslope not min at equality",
-                f"at x={x}: parent {r0} != min({r1}, {r2})",
+                lambda: f"at x={x}: parent {r0} != min({r1}, {r2})",
             )
             continue
         ll, rl = (l1, r1) if y1 < y2 else (l2, r2)
         col.check(
             l0 == ll,
             "lslope not the lower curve's",
-            f"at x={x}: parent {l0} != lower {ll}",
+            lambda: f"at x={x}: parent {l0} != lower {ll}",
         )
         if x == x_cap:
             col.check(
                 r0 == min(r1, r2),
                 "rslope not min at truncation",
-                f"at x={x}: parent {r0} != min({r1}, {r2})",
+                lambda: f"at x={x}: parent {r0} != min({r1}, {r2})",
             )
         else:
             col.check(
                 r0 == rl,
                 "rslope not the lower curve's",
-                f"at x={x}: parent {r0} != lower {rl}",
+                lambda: f"at x={x}: parent {r0} != lower {rl}",
             )
     return col.report()
 
@@ -303,7 +306,7 @@ def audit_chance(
             if not col.check(
                 len(arg) == 1,
                 "maximizer not unique",
-                f"direction ({w[0]},1) ties {arg} on {f}",
+                lambda: f"direction ({w[0]},1) ties {arg} on {f}",
             ):
                 break
             parts.append(arg[0])
@@ -314,7 +317,7 @@ def audit_chance(
         col.check(
             combo == p,
             "vertex does not decompose",
-            f"{p} != {p1}*{q} + {p2}*{r} = {combo}",
+            lambda: f"{p} != {p1}*{q} + {p2}*{r} = {combo}",
         )
         l0, _ = slope_at(parent, p[0])
         l1, _ = slope_at(succ1, q[0])
@@ -322,7 +325,7 @@ def audit_chance(
         col.check(
             l0 == min(l1, l2),
             "lslope not min of parts",
-            f"at x={p[0]}: parent {l0} != min({l1}, {l2})",
+            lambda: f"at x={p[0]}: parent {l0} != min({l1}, {l2})",
         )
     return col.report()
 
@@ -391,7 +394,7 @@ def audit_game(
             col.check(
                 parent == succs[0],
                 "single-successor mismatch",
-                f"{parent} != successor {succs[0]}",
+                lambda: f"{parent} != successor {succs[0]}",
             )
             continue
         try:

@@ -3,7 +3,9 @@
 ``solve-determined`` always checks its curves against the curve equations:
 it writes or prints them, then ends with ``determined: true`` (exit 0) or
 ``determined: false`` (exit 1), so no curve leaves it uncertified.
-``query`` answers from ``certified_curves``: exact curves never give ``unknown``.
+``query`` answers from ``certified_curves``, which tries generated minimizer
+strategies, never enumerated, then value iteration: exact curves never give
+``unknown``.
 
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal

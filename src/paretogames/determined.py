@@ -9,14 +9,14 @@ V passes the fixpoint check iff it *is* that family, since a stopping game's
 curve equations have one solution.  ``solve_determined`` folds every
 strategy; ``check_determinacy`` certifies from the few that the minimizer's
 strategy iteration in ``mdp`` picks, and enumerates only when the curve
-equations reject them.
+equations reject them.  ``certified_curves`` never enumerates: it tries the
+same generated strategies, then value iteration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
 from typing import Iterable, Iterator
 
 from .bellman import CurveMap, check_fixpoint, value_iterate
@@ -91,6 +91,33 @@ def _edge_normals(curves: CurveMap) -> set[Point]:
     }
 
 
+def _generate(
+    g: Game, responses: dict[_Key, _BestResponse], folded: set[_Key]
+) -> tuple[bool, CurveMap]:
+    """``check_determinacy``'s generation rounds: whether their fold passed
+    ``check_fixpoint``, and the fold.  Folded strategies go into ``folded``
+    and each visited strategy's ``_BestResponse`` into ``responses``."""
+    curves: CurveMap = {}
+    sigma = {s.id: s.successors[0] for s in g.states if s.kind is Kind.P2}
+    one, zero = Fraction(1), Fraction(0)
+    queried: set[Point] = set()
+    directions = [(zero, one), (one, zero)]
+    while directions:
+        generated = []
+        for w in directions:
+            generated.append(_minimizer_optimum(g, w, sigma, responses))
+            sigma = generated[-1].sigma
+        queried.update(directions)
+        count = len(folded)
+        curves = _fold(curves, generated, folded)
+        if len(folded) == count:
+            break
+        if check_fixpoint(g, curves):
+            return True, curves
+        directions = sorted(_edge_normals(curves) - queried)
+    return False, curves
+
+
 def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     """V, the pointwise minimum of C_sigma over minimizer strategies, and
     whether it solves the curve equations: in a stopping game their solution
@@ -125,25 +152,10 @@ def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     ``check_fixpoint``."""
     require_stopping(g, "a determinacy check requires a stopping game")
     folded: set[_Key] = set()
-    curves: CurveMap = {}
     responses: dict[_Key, _BestResponse] = {}
-    sigma = {s.id: s.successors[0] for s in g.states if s.kind is Kind.P2}
-    one, zero = Fraction(1), Fraction(0)
-    queried: set[Point] = set()
-    directions = [(zero, one), (one, zero)]
-    while directions:
-        generated = []
-        for w in directions:
-            generated.append(_minimizer_optimum(g, w, sigma, responses))
-            sigma = generated[-1].sigma
-        queried.update(directions)
-        count = len(folded)
-        curves = _fold(curves, generated, folded)
-        if len(folded) == count:
-            break
-        if check_fixpoint(g, curves):
-            return True, curves
-        directions = sorted(_edge_normals(curves) - queried)
+    determined, curves = _generate(g, responses, folded)
+    if determined:
+        return True, curves
     enumerated = (
         responses.get(frozenset(s.items())) or _BestResponse(g, s)
         for s in enumerate_md_strategies(g)
@@ -152,28 +164,23 @@ def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     return check_fixpoint(g, curves), curves
 
 
-# check_determinacy, whose fallback enumerates, is skipped above this count;
-# each binary P2 state doubles it.
-MAX_ENUMERATED_STRATEGIES = 1024
-
-
 def certified_curves(
     g: Game, epsilon: RationalLike, max_iters: int
 ) -> tuple[CurveMap, Fraction]:
     """The Pareto curves of a stopping game and a certified bound on their
-    error, 0 when certified exact: ``check_determinacy``'s when the minimizer
-    has at most MAX_ENUMERATED_STRATEGIES strategies and it passes, else
-    ``value_iterate``'s.  Bad options and NotStopping raise first."""
+    error, 0 when certified exact: the fold of ``check_determinacy``'s
+    generated strategies when it passes ``check_fixpoint``, else
+    ``value_iterate``'s.  No strategy is enumerated: enumeration can only
+    show that a game is not determined, and its fold is then not the
+    answer.  Bad options and NotStopping raise first."""
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 1:
         raise InvalidArgument(f"max_iters must be >= 1, got {max_iters}")
     require_stopping(g, "an achievability query requires a stopping game")
-    p2 = [len(s.successors) for s in g.states if s.kind is Kind.P2]
-    if prod(p2) <= MAX_ENUMERATED_STRATEGIES:
-        determined, curves = check_determinacy(g)
-        if determined:
-            return curves, Fraction(0)
+    determined, curves = _generate(g, {}, set())
+    if determined:
+        return curves, Fraction(0)
     result = value_iterate(g, epsilon, max_iters)
     return result.curves, result.residual_bound

@@ -374,13 +374,8 @@ def frontier_from_csv(text: str) -> Frontier:
     return canonicalize(pts)
 
 
-def frontier_to_svg(
-    f: Frontier,
-    title: str = "frontier",
-    width: int = 480,
-    height: int = 360,
-) -> str:
-    """A standalone SVG drawing of the frontier with its rays clipped.
+def frontier_to_svg(f: Frontier, title: str = "frontier") -> str:
+    """A standalone 480 x 360 SVG drawing of the frontier with its rays clipped.
 
     The view box is exact; floating point is used only to place pixels, from
     positions normalized to [0, 1], so coordinates of any size draw.
@@ -395,7 +390,7 @@ def frontier_to_svg(
         return min(vals) - pad, max(vals) + pad
 
     (lo_x, hi_x), (lo_y, hi_y) = view(xs), view(ys)
-    margin = 40.0
+    width, height, margin = 480, 360, 40.0
 
     def px(x: Fraction) -> float:
         return margin + float((x - lo_x) / (hi_x - lo_x)) * (width - 2 * margin)

@@ -371,24 +371,13 @@ def _pareto_curves(r: _BestResponse) -> dict[str, Frontier]:
     }
 
 
-def mdp_pareto_curve(
-    mdp: Game,
-    s: str,
-    *,
-    with_witnesses: bool = False,
-) -> Frontier | tuple[Frontier, dict[Point, MDPolicy]]:
+def mdp_pareto_curve(mdp: Game, s: str) -> Frontier:
     """Exact Pareto frontier of the achievable set at state s.
 
     The same weight sweep as ``mdp_pareto_curves``, restricted to s: the
     two lexicographic extreme vertices, then facet-normal probes of every
     edge until each is confirmed, every direction's policy iteration run
-    once.  With ``with_witnesses`` set, also returns one realizing policy
-    per frontier vertex."""
+    once."""
     sigma = _checked_process(mdp)
     mdp.state(s)
-    witnesses = _pareto_witnesses(_BestResponse(mdp, sigma), (s,))[s]
-    frontier = canonicalize(list(witnesses))
-    if not with_witnesses:
-        return frontier
-    kept = {v: witnesses[v] for v in frontier.vertices}
-    return frontier, kept
+    return canonicalize(list(_pareto_witnesses(_BestResponse(mdp, sigma), (s,))[s]))

@@ -76,6 +76,41 @@ def p2_chain_game(n: int) -> Game:
     return make_game("s0", states)
 
 
+# An 11-state stopping game that is not determined: strategy enumeration
+# ends the curve at s0 at (-1/4, -23/12), the true curve at (-1/4, -7/3).
+NOT_DETERMINED = {
+    "initial": "s0",
+    "states": [
+        {"id": "s0", "kind": "p1", "reward": ["-2", "0"],
+         "transitions": [{"to": "s6"}, {"to": "s4"}]},
+        {"id": "s1", "kind": "chance", "reward": ["3", "-3/2"],
+         "transitions": [{"to": "s3", "prob": "2/3"},
+                         {"to": "s4", "prob": "1/3"}]},
+        {"id": "s2", "kind": "p2", "reward": ["5/2", "-2"],
+         "transitions": [{"to": "s8"}, {"to": "s7"}]},
+        {"id": "s3", "kind": "p2", "reward": ["0", "-3"],
+         "transitions": [{"to": "s6"}, {"to": "s4"}]},
+        {"id": "s4", "kind": "p2", "reward": ["-3/2", "2"],
+         "transitions": [{"to": "s6"}, {"to": "t1"}]},
+        {"id": "s5", "kind": "p2", "reward": ["-5/2", "-2"],
+         "transitions": [{"to": "s7"}, {"to": "t1"}]},
+        {"id": "s6", "kind": "chance", "reward": ["2", "0"],
+         "transitions": [{"to": "t1", "prob": "1/3"},
+                         {"to": "s2", "prob": "2/3"}]},
+        {"id": "s7", "kind": "chance", "reward": ["-3/2", "-3/2"],
+         "transitions": [{"to": "t0", "prob": "1/2"},
+                         {"to": "t1", "prob": "1/2"}]},
+        {"id": "s8", "kind": "chance", "reward": ["-5/2", "-1/2"],
+         "transitions": [{"to": "t0", "prob": "3/4"},
+                         {"to": "s7", "prob": "1/4"}]},
+        {"id": "t0", "kind": "terminal", "reward": ["0", "0"],
+         "transitions": [{"to": "t0"}]},
+        {"id": "t1", "kind": "terminal", "reward": ["0", "0"],
+         "transitions": [{"to": "t1"}]},
+    ],
+}
+
+
 @pytest.fixture(scope="session")
 def heating():
     return fixture_game("heating")

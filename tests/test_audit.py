@@ -58,6 +58,14 @@ def test_frontier_audit_flags_convexity_break():
     assert not rep.ok
 
 
+def test_frontier_audit_passes_a_curve_too_long_to_print():
+    # every cross product has about 8000 digits, past the interpreter's
+    # int-to-text limit: a passing check formats no detail
+    b = 10**4000 - 1
+    rep = audit_frontier([(F(0), F(2 * b)), (F(b), F(b)), (F(2 * b), F(-b // 2))])
+    assert rep.ok and rep.checks_run == 7
+
+
 def test_frontier_report_text_and_json():
     good = audit_frontier(fr((0, 1), (1, 0)))
     assert good.to_text().startswith("PASS")

@@ -28,7 +28,7 @@ from paretogames import (
 import paretogames.cli
 import paretogames.determined
 from paretogames.cli import main
-from conftest import p2_chain_game, three_successor_game
+from conftest import NOT_DETERMINED, p2_chain_game, three_successor_game
 from randgen import random_betting_game, random_stopping_game
 import random
 
@@ -376,41 +376,6 @@ def test_query_vi_yes_at_a_vertex_of_the_exact_curve(heating_path, capsys):
     assert (code, out) == (0, "yes\n")
 
 
-# An 11-state stopping game that is not determined: strategy enumeration
-# ends the curve at s0 at (-1/4, -23/12), the true curve at (-1/4, -7/3).
-NOT_DETERMINED = {
-    "initial": "s0",
-    "states": [
-        {"id": "s0", "kind": "p1", "reward": ["-2", "0"],
-         "transitions": [{"to": "s6"}, {"to": "s4"}]},
-        {"id": "s1", "kind": "chance", "reward": ["3", "-3/2"],
-         "transitions": [{"to": "s3", "prob": "2/3"},
-                         {"to": "s4", "prob": "1/3"}]},
-        {"id": "s2", "kind": "p2", "reward": ["5/2", "-2"],
-         "transitions": [{"to": "s8"}, {"to": "s7"}]},
-        {"id": "s3", "kind": "p2", "reward": ["0", "-3"],
-         "transitions": [{"to": "s6"}, {"to": "s4"}]},
-        {"id": "s4", "kind": "p2", "reward": ["-3/2", "2"],
-         "transitions": [{"to": "s6"}, {"to": "t1"}]},
-        {"id": "s5", "kind": "p2", "reward": ["-5/2", "-2"],
-         "transitions": [{"to": "s7"}, {"to": "t1"}]},
-        {"id": "s6", "kind": "chance", "reward": ["2", "0"],
-         "transitions": [{"to": "t1", "prob": "1/3"},
-                         {"to": "s2", "prob": "2/3"}]},
-        {"id": "s7", "kind": "chance", "reward": ["-3/2", "-3/2"],
-         "transitions": [{"to": "t0", "prob": "1/2"},
-                         {"to": "t1", "prob": "1/2"}]},
-        {"id": "s8", "kind": "chance", "reward": ["-5/2", "-1/2"],
-         "transitions": [{"to": "t0", "prob": "3/4"},
-                         {"to": "s7", "prob": "1/4"}]},
-        {"id": "t0", "kind": "terminal", "reward": ["0", "0"],
-         "transitions": [{"to": "t0"}]},
-        {"id": "t1", "kind": "terminal", "reward": ["0", "0"],
-         "transitions": [{"to": "t1"}]},
-    ],
-}
-
-
 def _nd_path(tmp_path):
     game = tmp_path / "nd.json"
     game.write_text(json.dumps(NOT_DETERMINED))
@@ -459,12 +424,14 @@ def test_query_rejects_a_non_positive_epsilon(heating_path, capsys, epsilon):
 def test_query_with_many_minimizer_strategies_answers_quickly(
     tmp_path, capsys, monkeypatch
 ):
-    # 2^60 minimizer strategies: value iteration answers, exactly, since
-    # every play ends within 61 steps; V*(s0) is the single point (-19,-29)
+    # 2^60 minimizer strategies, none enumerated: generation answers,
+    # exactly; V*(s0) is the single point (-19,-29)
     def no_enumeration(g):
         raise AssertionError("strategies were enumerated")
 
-    monkeypatch.setattr(paretogames.determined, "check_determinacy", no_enumeration)
+    monkeypatch.setattr(
+        paretogames.determined, "enumerate_md_strategies", no_enumeration
+    )
     p = tmp_path / "chain.json"
     save_game(p2_chain_game(61), p)
     start = time.perf_counter()
@@ -756,6 +723,34 @@ def test_audit_rejects_an_invalid_game(tmp_path, capsys):
     code, out, _ = run(capsys, "audit", str(path), "--curves", str(out_dir))
     assert code == 1
     assert out == "FAIL (1 checks)\n  invalid game: a: more than 2 successors (3)\n"
+
+
+def test_audit_passes_a_valid_family_whose_slopes_are_too_long_to_print(
+    tmp_path, capsys
+):
+    # 3000-digit rewards: the edge slope at p has about 6000 digits, past the
+    # interpreter's int-to-text limit, so no passing check may format it
+    u = F(10**2999 + 1, 10**3000 - 3)
+    v = F(10**2999 + 7, 10**3000 - 11)
+    a, b = (-v, -u), (-u, -2 * v)
+    g = make_game(
+        "p",
+        [
+            ("p", "p1", (0, 0), [("a", 1), ("b", 1)]),
+            ("a", "p2", a, [("t", 1)]),
+            ("b", "p2", b, [("t", 1)]),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    path = tmp_path / "long.json"
+    save_game(g, path)
+    out_dir = tmp_path / "curves"
+    out_dir.mkdir()
+    curves = {"p": (a, b), "a": (a,), "b": (b,), "t": ((F(0), F(0)),)}
+    for sid, verts in curves.items():
+        (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(verts)))
+    code, out, err = run(capsys, "audit", str(path), "--curves", str(out_dir))
+    assert (code, err) == (0, "") and out.startswith("PASS")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 import paretogames.determined
-from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of, p2_chain_game
+from conftest import (
+    FIG3_EXACT,
+    HEATING_EXACT,
+    NOT_DETERMINED,
+    frontier_of,
+    p2_chain_game,
+)
 from paretogames import (
     Game,
     Kind,
@@ -19,6 +25,7 @@ from paretogames import (
     check_fixpoint,
     contains,
     enumerate_md_strategies,
+    game_from_json,
     induce_mdp,
     mdp_pareto_curve,
     solve_determined,
@@ -337,25 +344,32 @@ def test_certified_curves_are_exact_on_random_stopping_games():
     assert nondetermined == [(8, 0), (8, 29), (12, 85), (12, 144)]
 
 
-@pytest.mark.parametrize("n, enumerated", [(11, True), (12, False)])
-def test_certified_curves_enumerate_up_to_the_strategy_limit(
-    monkeypatch, n, enumerated
-):
-    g = p2_chain_game(n)
-    strategies = sum(1 for _ in enumerate_md_strategies(g))
-    assert strategies == 2 ** (n - 1)
-    limit = paretogames.determined.MAX_ENUMERATED_STRATEGIES
-    assert (strategies <= limit) == enumerated
+@pytest.mark.parametrize("name", ["chain-11", "chain-12", "fig3", "not-determined"])
+def test_certified_curves_never_enumerate(fig3, monkeypatch, name):
+    games = {
+        "chain-11": lambda: p2_chain_game(11),
+        "chain-12": lambda: p2_chain_game(12),
+        "fig3": lambda: fig3,
+        "not-determined": lambda: game_from_json(NOT_DETERMINED),
+    }
+    g = games[name]()
+
+    def no_enumeration(g):
+        raise AssertionError("strategies were enumerated")
+
     ran = []
-
-    def spy(f):
-        return lambda *args: ran.append(f.__name__) or f(*args)
-
-    for f in (check_determinacy, value_iterate):
-        monkeypatch.setattr(paretogames.determined, f.__name__, spy(f))
+    monkeypatch.setattr(
+        paretogames.determined, "enumerate_md_strategies", no_enumeration
+    )
+    monkeypatch.setattr(
+        paretogames.determined,
+        "value_iterate",
+        lambda *args: ran.append(args) or value_iterate(*args),
+    )
     curves, residual = certified_curves(g, F(1, 1000), 10000)
     assert residual == 0 and check_fixpoint(g, curves)
-    assert ran == (["check_determinacy"] if enumerated else ["value_iterate"])
+    # generation certifies the determined games; value iteration the other
+    assert bool(ran) == (name == "not-determined")
 
 
 @pytest.mark.parametrize(
@@ -372,6 +386,6 @@ def test_certified_curves_reject_bad_options_before_any_work(
     def no_work(*args):
         raise AssertionError("solver ran")
 
-    monkeypatch.setattr(paretogames.determined, "check_determinacy", no_work)
+    monkeypatch.setattr(paretogames.determined, "_generate", no_work)
     with pytest.raises(error, match=message):
         certified_curves(heating, epsilon, max_iters)

@@ -19,6 +19,7 @@ from paretogames import (
     NotStopping,
     NotStoppingUnderPolicy,
     StateRecord,
+    canonicalize,
     check_stopping,
     enumerate_md_strategies,
     induce_mdp,
@@ -395,10 +396,19 @@ def test_all_state_curves_match_single_state_curves():
             assert curves[sid] == mdp_pareto_curve(mdp, sid)
 
 
+def _curve_and_witnesses(mdp, sid):
+    """``mdp_pareto_curve(mdp, sid)`` and one realizing policy per vertex."""
+    r = mdp_module._BestResponse(mdp, mdp_module._checked_process(mdp))
+    witnesses = mdp_module._pareto_witnesses(r, (sid,))[sid]
+    f = canonicalize(list(witnesses))
+    return f, {v: witnesses[v] for v in f.vertices}
+
+
 def test_pareto_witnesses_evaluate_to_their_vertices():
     for mdp in _sample_processes():
         for sid in mdp.state_ids:
-            f, witnesses = mdp_pareto_curve(mdp, sid, with_witnesses=True)
+            f, witnesses = _curve_and_witnesses(mdp, sid)
+            assert f == mdp_pareto_curve(mdp, sid)
             assert set(witnesses) == set(f.vertices)
             for vertex, pol in witnesses.items():
                 assert policy_evaluate(mdp, pol)[sid] == vertex
@@ -463,7 +473,7 @@ def test_witness_maps_are_pinned():
     def parts():
         for mdp in _pinned_processes():
             for sid in mdp.state_ids:
-                f, witnesses = mdp_pareto_curve(mdp, sid, with_witnesses=True)
+                f, witnesses = _curve_and_witnesses(mdp, sid)
                 yield sid, f.vertices, list(witnesses.items())
 
     assert _sha256(parts()) == (
