@@ -24,6 +24,11 @@ arena is validated once per target set, when ``attractor`` first computes
 that set's result, and then trusted by every play; the cached result is
 read-only, as every play shares it.  Each play still checks every step
 exactly: the valuation, Adam's successor and the potential increment.
+
+An adversary (``Adversary``) gets what it reads and nothing more: the
+attractor once per play, through ``prepare(attr)``, then
+``valuation(v, credit)`` at each Eve vertex and ``choose(v)`` at each of
+its own.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AdamCheated,
@@ -155,12 +160,6 @@ def validate_betting(bg: BettingGame) -> tuple[str, ...]:
     return tuple(out)
 
 
-def require_valid_betting(bg: BettingGame) -> None:
-    violations = validate_betting(bg)
-    if violations:
-        raise InvalidBettingGame("invalid betting game: " + "; ".join(violations))
-
-
 # ---------------------------------------------------------------------------
 # Attractor
 
@@ -196,7 +195,9 @@ def attractor(bg: BettingGame, T: Iterable[str]) -> AttractorResult:
 
 
 def _compute_attractor(bg: BettingGame, targets: frozenset[str]) -> AttractorResult:
-    require_valid_betting(bg)
+    violations = validate_betting(bg)
+    if violations:
+        raise InvalidBettingGame("invalid betting game: " + "; ".join(violations))
     for t in targets:
         bg.vertex(t)
     layer: dict[str, int] = {t: 0 for t in targets}
@@ -300,29 +301,16 @@ def eve_move(
 # Adversaries
 
 
-class Adversary(Protocol):
+class Adversary:
     """Adam: supplies valuations at Eve vertices, successors at his own."""
 
-    def prepare(self, bg: BettingGame, T: frozenset[str], attr: AttractorResult) -> None:
-        ...
-
-    def valuation(
-        self, bg: BettingGame, v: BetVertex, credit: Fraction
-    ) -> tuple[Fraction, Fraction]:
-        ...
-
-    def choose(self, bg: BettingGame, v: BetVertex, credit: Fraction) -> str:
-        ...
-
-
-class _BaseAdam:
-    def prepare(self, bg: BettingGame, T: frozenset[str], attr: AttractorResult) -> None:
+    def prepare(self, attr: AttractorResult) -> None:
         self._attr = attr
 
     def _a(self, vid: str) -> int:
         return self._attr.a.get(vid, -1)
 
-    def choose(self, bg, v, credit):
+    def choose(self, v):
         """The successor farthest from the targets, prolonging the walk."""
         return max(v.successors, key=self._a)
 
@@ -337,7 +325,7 @@ class _BaseAdam:
         return (Fraction(0), credit / w2)
 
 
-class RandomAdam(_BaseAdam):
+class RandomAdam(Adversary):
     """Splits the credit at a uniformly random ratio; walks randomly."""
 
     GRAIN = 16
@@ -345,41 +333,41 @@ class RandomAdam(_BaseAdam):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def valuation(self, bg, v, credit):
+    def valuation(self, v, credit):
         t = Fraction(self._rng.randint(0, self.GRAIN), self.GRAIN)
         (_, w1), (_, w2) = v.edges
         return (t * credit / w1, (1 - t) * credit / w2)
 
-    def choose(self, bg, v, credit):
+    def choose(self, v):
         return self._rng.choice(v.successors)
 
 
-class StarveAdam(_BaseAdam):
+class StarveAdam(Adversary):
     """Puts the whole pot on the non-guided successor, hoping Eve must
     follow her guide into poverty; prolongs the walk at his own vertices."""
 
-    def valuation(self, bg, v, credit):
+    def valuation(self, v, credit):
         return self._stake_all(v, credit, on_guided=False)
 
 
-class EqualSplitAdam(_BaseAdam):
+class EqualSplitAdam(Adversary):
     """Bets the current credit on both edges, keeping it constant."""
 
-    def valuation(self, bg, v, credit):
+    def valuation(self, v, credit):
         return (credit, credit)
 
 
-class FundTargetAdam(_BaseAdam):
+class FundTargetAdam(Adversary):
     """Funds the guided successor fully, conceding growth but racing on."""
 
-    def valuation(self, bg, v, credit):
+    def valuation(self, v, credit):
         return self._stake_all(v, credit, on_guided=True)
 
-    def choose(self, bg, v, credit):
+    def choose(self, v):
         return min(v.successors, key=self._a)
 
 
-class MixedAdam(_BaseAdam):
+class MixedAdam(Adversary):
     """Randomly alternates between the other adversaries' behaviors."""
 
     def __init__(self, seed: int = 0):
@@ -391,19 +379,19 @@ class MixedAdam(_BaseAdam):
             FundTargetAdam(),
         ]
 
-    def prepare(self, bg, T, attr):
-        super().prepare(bg, T, attr)
+    def prepare(self, attr):
+        super().prepare(attr)
         for d in self._delegates:
-            d.prepare(bg, T, attr)
+            d.prepare(attr)
 
-    def valuation(self, bg, v, credit):
-        return self._rng.choice(self._delegates).valuation(bg, v, credit)
+    def valuation(self, v, credit):
+        return self._rng.choice(self._delegates).valuation(v, credit)
 
-    def choose(self, bg, v, credit):
-        return self._rng.choice(self._delegates).choose(bg, v, credit)
+    def choose(self, v):
+        return self._rng.choice(self._delegates).choose(v)
 
 
-class ScriptedAdam(_BaseAdam):
+class ScriptedAdam(Adversary):
     """Replays fixed valuations and choices, for regression tests."""
 
     def __init__(
@@ -414,12 +402,12 @@ class ScriptedAdam(_BaseAdam):
         self._valuations = [tuple(map(as_fraction, d)) for d in valuations]
         self._choices = list(choices)
 
-    def valuation(self, bg, v, credit):
+    def valuation(self, v, credit):
         if not self._valuations:
             raise AdamCheated("scripted adversary ran out of valuations")
         return self._valuations.pop(0)
 
-    def choose(self, bg, v, credit):
+    def choose(self, v):
         if not self._choices:
             raise AdamCheated("scripted adversary ran out of choices")
         return self._choices.pop(0)
@@ -491,7 +479,7 @@ def simulate(
     B = as_fraction(B)
     bound = step_bound(bg, B)
     limit = bound if max_steps is None else max_steps
-    adam.prepare(bg, targets, attr)
+    adam.prepare(attr)
 
     delta = bg._step_gain
     c0 = bg.initial.credit
@@ -519,14 +507,14 @@ def simulate(
             raise StepBoundExceeded(reason)
         v = bg.vertex(config.vertex)
         if v.kind == BetKind.EVE:
-            d = adam.valuation(bg, v, config.credit)
+            d = adam.valuation(v, config.credit)
             try:
                 dd = _check_valuation(v, config.credit, d)
             except InvalidValuation as exc:
                 raise AdamCheated(str(exc)) from exc
             nxt = _eve_pick(bg, attr, v, dd)
         else:
-            choice = adam.choose(bg, v, config.credit)
+            choice = adam.choose(v)
             if choice not in v.successors:
                 raise AdamCheated(
                     f"{v.id}: chose {choice!r}, not a successor"

@@ -38,7 +38,8 @@ class WeightsInvalid(GameSolverError):
 
 
 class InvalidCurveFile(GameSolverError):
-    """A curve CSV row is not two comma-separated rational coordinates."""
+    """A curve CSV row is not two comma-separated rational coordinates, or
+    the rows are not a canonical frontier's vertices in order."""
 
 
 class DigitLimitExceeded(GameSolverError, ValueError):

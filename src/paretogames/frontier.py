@@ -142,8 +142,19 @@ class Frontier:
         return len(self.vertices)
 
     def __repr__(self) -> str:  # keep exact but compact
-        pts = ", ".join(f"({x},{y})" for x, y in self.vertices)
+        pts = ", ".join(f"({_text(x)},{_text(y)})" for x, y in self.vertices)
         return f"Frontier[{pts}]"
+
+
+def _text(x: Fraction) -> str:
+    """``str(x)``, or, past the interpreter's int-to-text digit limit, the
+    bit lengths of its numerator and denominator, so a message never
+    raises."""
+    try:
+        return str(x)
+    except ValueError:
+        bits = x.numerator.bit_length(), x.denominator.bit_length()
+        return f"{'-' if x < 0 else ''}<{bits[0]}-bit/{bits[1]}-bit>"
 
 
 PointsLike = Union[Frontier, Iterable[Sequence[RationalLike]]]
@@ -360,8 +371,11 @@ def frontier_to_csv(f: Frontier) -> str:
 
 
 def frontier_from_csv(text: str) -> Frontier:
-    """The frontier of the ``x,y`` rows of ``text``; blank lines are
-    skipped.  A malformed row raises ``InvalidCurveFile`` naming its line."""
+    """The frontier whose vertices are the ``x,y`` rows of ``text``, as
+    written, in order; blank lines are skipped.  A malformed row raises
+    ``InvalidCurveFile`` naming its line, and so do rows that are not a
+    canonical vertex list (``frontier_to_csv`` writes only such lists):
+    a file is read as it is, never repaired."""
     pts: list[Point] = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -371,7 +385,10 @@ def frontier_from_csv(text: str) -> Frontier:
             pts.append(as_point([cell.strip() for cell in line.split(",")]))
         except (TypeError, ValueError) as exc:
             raise InvalidCurveFile(f"line {number}: {line!r}: {exc}") from None
-    return canonicalize(pts)
+    try:
+        return Frontier(tuple(pts))
+    except ValueError as exc:
+        raise InvalidCurveFile(f"rows are not a canonical frontier: {exc}") from None
 
 
 def frontier_to_svg(f: Frontier, title: str = "frontier") -> str:

@@ -17,15 +17,16 @@ state is enumerated by dichotomic weight refinement: expose the two
 lexicographic extreme vertices, then recursively probe each candidate edge
 with its facet-normal direction until every edge is confirmed.  One sweep
 serves every state, since each direction's optimal policy is optimal from
-all states at once.  Every returned vertex is realized by a concrete
-policy, so the frontier is achievable by construction.
+all states at once.  The sweep keeps vertices only; every one of them is
+the value of a concrete policy that ``_BestResponse`` memoizes, so the
+frontier is achievable by construction.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     BadDirection,
@@ -313,28 +314,25 @@ def _edge_normal(a: Point, b: Point) -> Point:
     return nx / (nx + ny), ny / (nx + ny)
 
 
-def _pareto_witnesses(
-    r: _BestResponse, states: Iterable[str]
-) -> dict[str, dict[Point, MDPolicy]]:
-    """Frontier vertex -> realizing policy, at each of the states of the
-    process that r.sigma leaves of r.g.
+def _pareto_curves(r: _BestResponse) -> dict[str, Frontier]:
+    """``mdp_pareto_curves`` of the process that r.sigma leaves of r.g.
 
-    Finds the two lexicographic extreme vertices, then refines each edge
-    (A, B) with its normal ``_edge_normal(A, B)``: when the optimum in
-    that direction strictly beats the edge, a new vertex lies between and
-    both halves are probed again.  Terminates because each insertion is a
-    distinct frontier vertex and each vertex is realized by one of finitely
-    many policies.  One optimal policy per direction serves every state
-    (Forejt, Kwiatkowska & Parker, ATVA 2012), so r solves each direction
-    once for all states."""
+    At each state, finds the two lexicographic extreme vertices, then
+    refines each edge (A, B) with its normal ``_edge_normal(A, B)``: when
+    the optimum in that direction strictly beats the edge, a new vertex
+    lies between and both halves are probed again.  Terminates because
+    each insertion is a distinct frontier vertex and each vertex is
+    realized by one of finitely many policies.  One optimal policy per
+    direction serves every state (Forejt, Kwiatkowska & Parker, ATVA
+    2012), so r solves each direction once for all states."""
     one = Fraction(1)
     zero = Fraction(0)
-    out: dict[str, dict[Point, MDPolicy]] = {}
-    for s in states:
-        pol_a, vals_a = r.optimum((zero, one))  # top-left extreme
-        pol_b, vals_b = r.optimum((one, zero))  # bottom-right extreme
-        a, b = vals_a[s], vals_b[s]
-        witnesses: dict[Point, MDPolicy] = {a: pol_a, b: pol_b}
+    top_left = r.optimum((zero, one))[1]
+    bottom_right = r.optimum((one, zero))[1]
+    out: dict[str, Frontier] = {}
+    for s in r.g.state_ids:
+        a, b = top_left[s], bottom_right[s]
+        vertices = {a, b}
         stack = [(a, b)] if a != b else []
         while stack:
             left, right = stack.pop()
@@ -343,13 +341,12 @@ def _pareto_witnesses(
                     f"{s}: edge {left}-{right} has no strictly positive normal"
                 )
             w = _edge_normal(left, right)
-            pol, vals = r.optimum(w)
-            z = vals[s]
+            z = r.optimum(w)[1][s]
             if _dot(w, z) > _dot(w, left):
-                witnesses[z] = pol
+                vertices.add(z)
                 stack.append((left, z))
                 stack.append((z, right))
-        out[s] = witnesses
+        out[s] = canonicalize(list(vertices))
     return out
 
 
@@ -359,25 +356,13 @@ def mdp_pareto_curves(mdp: Game) -> dict[str, Frontier]:
     One dichotomic weight sweep serves all states: the process is
     validated and checked for stopping once, each probed direction's
     optimal policy is computed once, and each distinct policy is evaluated
-    once.  Each curve equals ``mdp_pareto_curve(mdp, s)``."""
+    once."""
     return _pareto_curves(_BestResponse(mdp, _checked_process(mdp)))
 
 
-def _pareto_curves(r: _BestResponse) -> dict[str, Frontier]:
-    """``mdp_pareto_curves`` of the process that r.sigma leaves of r.g."""
-    return {
-        s: canonicalize(list(witnesses))
-        for s, witnesses in _pareto_witnesses(r, r.g.state_ids).items()
-    }
-
-
 def mdp_pareto_curve(mdp: Game, s: str) -> Frontier:
-    """Exact Pareto frontier of the achievable set at state s.
-
-    The same weight sweep as ``mdp_pareto_curves``, restricted to s: the
-    two lexicographic extreme vertices, then facet-normal probes of every
-    edge until each is confirmed, every direction's policy iteration run
-    once."""
+    """Exact Pareto frontier of the achievable set at state s: the s entry
+    of ``mdp_pareto_curves``."""
     sigma = _checked_process(mdp)
     mdp.state(s)
-    return canonicalize(list(_pareto_witnesses(_BestResponse(mdp, sigma), (s,))[s]))
+    return _pareto_curves(_BestResponse(mdp, sigma))[s]

