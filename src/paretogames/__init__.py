@@ -18,29 +18,21 @@ curve's last vertex and the slope audits compare against.
 
 from .errors import (
     AdamCheated,
-    BadDirection,
-    DeltaOutOfRange,
     DigitLimitExceeded,
-    EmptyInput,
     GameSolverError,
     HypothesisViolated,
-    IncompleteCurveMap,
     InvalidArgument,
     InvalidBettingGame,
     InvalidCurveFile,
     InvalidGame,
-    InvalidStrategy,
     InvalidValuation,
     InvariantBroken,
-    NonPositiveEpsilon,
     NotStopping,
     NotStoppingUnderPolicy,
     NotWinningVertex,
-    OutOfDomain,
     RelationMismatch,
     StepBoundExceeded,
     UnknownState,
-    WeightsInvalid,
 )
 from .frontier import (
     MINUS_INFINITY,

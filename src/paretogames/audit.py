@@ -41,6 +41,8 @@ from .frontier import (
     slope_at,
     translate,
     weighted_sum,
+    _points_text,
+    _text,
     _vertices_of,
 )
 from .games import Game, Kind, validate_game
@@ -127,21 +129,28 @@ def audit_frontier(f: PointsLike) -> AuditReport:
     verts = _vertices_of(f)
     col.check(bool(verts), "empty", lambda: "a frontier needs at least one vertex")
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        xy = (x0, y0, x1, y1)
         col.check(
-            x0 < x1, "x not increasing", lambda: f"x {x0} then {x1} (with y {y0}, {y1})"
+            x0 < x1,
+            "x not increasing",
+            lambda: "x {0} then {2} (with y {1}, {3})".format(*map(_text, xy)),
         )
         col.check(
-            y0 > y1, "y not decreasing", lambda: f"y {y0} then {y1} (at x {x0}, {x1})"
+            y0 > y1,
+            "y not decreasing",
+            lambda: "y {1} then {3} (at x {0}, {2})".format(*map(_text, xy)),
         )
-    for a, b, c in zip(verts, verts[1:], verts[2:]):
-        cr = _cross(a, b, c)
+    for abc in zip(verts, verts[1:], verts[2:]):
+        cr = _cross(*abc)
         col.check(
-            cr <= 0, "not concave", lambda: f"{a}, {b}, {c} turn left (cross {cr})"
+            cr <= 0,
+            "not concave",
+            lambda: f"{_points_text(*abc)} turn left (cross {_text(cr)})",
         )
         col.check(
             cr < 0,
             "slope not strictly decreasing",
-            lambda: f"{a}, {b}, {c} are collinear or convex (cross {cr})",
+            lambda: f"{_points_text(*abc)} are collinear or convex (cross {_text(cr)})",
         )
     return col.report()
 

@@ -35,12 +35,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping
 
-from .errors import (
-    IncompleteCurveMap,
-    InvalidArgument,
-    InvariantBroken,
-    NonPositiveEpsilon,
-)
+from .errors import InvalidArgument, InvariantBroken
 from .frontier import (
     Frontier,
     RationalLike,
@@ -110,7 +105,7 @@ def initial_curves(g: Game) -> CurveMap:
 def _require_complete(g: Game, x: Mapping[str, Frontier]) -> None:
     missing = [s.id for s in g.states if s.id not in x]
     if missing:
-        raise IncompleteCurveMap(f"curve map missing states: {missing}")
+        raise InvalidArgument(f"curve map missing states: {missing}")
 
 
 def _state_update(s: StateRecord, x: Mapping[str, Frontier]) -> Frontier:
@@ -302,7 +297,7 @@ def value_iterate(
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+        raise InvalidArgument(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 0:
         raise InvalidArgument(f"max_iters must be >= 0, got {max_iters}")
     stopping = check_stopping(g).stopping
@@ -360,7 +355,7 @@ def achievable_within(
     g.state(s)
     eps = as_fraction(epsilon)
     if eps < 0:
-        raise NonPositiveEpsilon(f"epsilon must be >= 0, got {eps}")
+        raise InvalidArgument(f"epsilon must be >= 0, got {eps}")
     zx, zy = as_point(z)
     if contains(curves[s], (zx + eps, zy + eps)):
         return "yes"

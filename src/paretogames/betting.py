@@ -290,7 +290,7 @@ def eve_move(
     attr = attractor(bg, T)
     v = bg.vertex(config.vertex)
     if v.kind != BetKind.EVE:
-        raise InvalidValuation(f"{v.id} is not an Eve vertex")
+        raise InvalidArgument(f"{v.id} is not an Eve vertex")
     if v.id not in attr.winning:
         raise NotWinningVertex(f"{v.id} is outside the winning set")
     dd = _check_valuation(v, config.credit, d)

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .bellman import CurveMap, check_fixpoint, value_iterate
-from .errors import InvalidArgument, NonPositiveEpsilon
+from .errors import InvalidArgument
 from .frontier import Point, RationalLike, as_fraction, intersect_min
 from .games import Game, Kind, require_stopping, require_valid
 from .mdp import (
@@ -175,7 +175,7 @@ def certified_curves(
     answer.  Bad options and NotStopping raise first."""
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be > 0, got {epsilon}")
+        raise InvalidArgument(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 1:
         raise InvalidArgument(f"max_iters must be >= 1, got {max_iters}")
     require_stopping(g, "an achievability query requires a stopping game")

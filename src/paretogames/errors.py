@@ -2,12 +2,14 @@
 
 Every error raised for bad input or an unmet precondition derives from
 :class:`GameSolverError`, so callers can catch one type at the boundary.
-The leaf classes mirror the distinct failure modes of the public operations:
-malformed geometry input, malformed game input, bad argument values,
-preconditions on solver calls, protocol violations during betting-game
-simulation, and broken internal invariants.  A builtin ``TypeError`` or
-``ValueError`` means a wrong type passed to ``as_fraction``/``as_point`` or
-a non-canonical ``Frontier(...)``: from the command line, a bug.
+An argument value that cannot be used raises :class:`InvalidArgument`,
+whichever function it is passed to.  Each other leaf class names a distinct
+input file, precondition or protocol fault: a malformed game, curve file or
+betting arena, an unknown state, a non-stopping game, an opponent breaking
+the betting protocol, an internal limit, or a broken internal invariant.  A
+builtin ``TypeError`` or ``ValueError`` means a wrong type passed to
+``as_fraction``/``as_point`` or a non-canonical ``Frontier(...)``: from the
+command line, a bug.
 """
 
 from __future__ import annotations
@@ -18,23 +20,15 @@ class GameSolverError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Frontier geometry
+# Arguments and curve files
 
 
-class EmptyInput(GameSolverError):
-    """A frontier was requested from an empty point list."""
-
-
-class OutOfDomain(GameSolverError):
-    """A slope query was made right of a frontier's last vertex."""
-
-
-class BadDirection(GameSolverError):
-    """A support direction must be componentwise >= 0 and not the zero vector."""
-
-
-class WeightsInvalid(GameSolverError):
-    """Weighted-sum terms must have 1-2 positive weights summing to one."""
+class InvalidArgument(GameSolverError, ValueError):
+    """An argument value that cannot be used, whatever function it is passed
+    to: an unreadable rational or point; an epsilon, delta, direction,
+    weight list, iteration cap, credit bound or run count out of range; an
+    empty point list; a slope query right of a curve; a curve map or choice
+    map that does not fit its game.  Also a ``ValueError``."""
 
 
 class InvalidCurveFile(GameSolverError):
@@ -49,7 +43,7 @@ class DigitLimitExceeded(GameSolverError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Game structure
+# Games
 
 
 class InvalidGame(GameSolverError):
@@ -62,32 +56,6 @@ class InvalidGame(GameSolverError):
 
 class UnknownState(GameSolverError):
     """A state id was referenced that the game does not define."""
-
-
-class IncompleteCurveMap(GameSolverError):
-    """A curve map is missing entries for some game states."""
-
-
-class DeltaOutOfRange(GameSolverError):
-    """A discount factor must lie strictly between 0 and 1."""
-
-
-# ---------------------------------------------------------------------------
-# Solving preconditions
-
-
-class InvalidArgument(GameSolverError, ValueError):
-    """An argument value that cannot be used: an unreadable rational, a
-    malformed point, a nonpositive credit bound or run count, a negative
-    iteration cap.  Also a ``ValueError``, which it was raised as before."""
-
-
-class NonPositiveEpsilon(GameSolverError):
-    """A convergence tolerance must be strictly positive."""
-
-
-class InvalidStrategy(GameSolverError):
-    """A strategy/policy mapping does not fit the game it is applied to."""
 
 
 class NotStopping(GameSolverError):

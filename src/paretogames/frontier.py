@@ -35,15 +35,7 @@ from numbers import Rational
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    BadDirection,
-    DigitLimitExceeded,
-    EmptyInput,
-    InvalidArgument,
-    InvalidCurveFile,
-    OutOfDomain,
-    WeightsInvalid,
-)
+from .errors import DigitLimitExceeded, InvalidArgument, InvalidCurveFile
 
 Point = tuple[Fraction, Fraction]
 RationalLike = Union[int, str, Fraction, Rational]
@@ -89,6 +81,14 @@ def as_point(pair: Sequence[RationalLike]) -> Point:
     return (as_fraction(pair[0]), as_fraction(pair[1]))
 
 
+def _direction(w: Sequence[RationalLike]) -> Point:
+    """w as a point, which must be >= 0 and nonzero to be a direction."""
+    w1, w2 = as_point(w)
+    if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
+        raise InvalidArgument(f"direction must be >=0 and nonzero, got ({w1},{w2})")
+    return w1, w2
+
+
 @dataclass(frozen=True)
 class Frontier:
     """Canonical Pareto frontier of a downward-closed convex planar set."""
@@ -100,7 +100,7 @@ class Frontier:
 
     def __post_init__(self) -> None:
         if not self.vertices:
-            raise EmptyInput("a frontier needs at least one vertex")
+            raise InvalidArgument("a frontier needs at least one vertex")
         verts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
         slopes = []
@@ -142,8 +142,7 @@ class Frontier:
         return len(self.vertices)
 
     def __repr__(self) -> str:  # keep exact but compact
-        pts = ", ".join(f"({_text(x)},{_text(y)})" for x, y in self.vertices)
-        return f"Frontier[{pts}]"
+        return f"Frontier[{_points_text(*self.vertices)}]"
 
 
 def _text(x: Fraction) -> str:
@@ -155,6 +154,11 @@ def _text(x: Fraction) -> str:
     except ValueError:
         bits = x.numerator.bit_length(), x.denominator.bit_length()
         return f"{'-' if x < 0 else ''}<{bits[0]}-bit/{bits[1]}-bit>"
+
+
+def _points_text(*points: Point) -> str:
+    """The points as ``(x,y)``, comma-separated, each coordinate by ``_text``."""
+    return ", ".join(f"({_text(x)},{_text(y)})" for x, y in points)
 
 
 PointsLike = Union[Frontier, Iterable[Sequence[RationalLike]]]
@@ -178,7 +182,7 @@ def canonicalize(points: PointsLike) -> Frontier:
     """
     pts = sorted(_vertices_of(points))
     if not pts:
-        raise EmptyInput("cannot build a frontier from no points")
+        raise InvalidArgument("cannot build a frontier from no points")
     return _hull_of_sorted(pts)
 
 
@@ -229,7 +233,7 @@ def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, fl
     """
     x = as_fraction(x)
     if x > f.x_last:
-        raise OutOfDomain(f"slope queried at x={x} > x_last={f.x_last}")
+        raise InvalidArgument(f"slope queried at x={x} > x_last={f.x_last}")
     if x < f.x_first:
         return (Fraction(0), Fraction(0))
     k, slopes = bisect_left(f.vertices, x, key=itemgetter(0)), f.slopes
@@ -308,12 +312,12 @@ def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
     vertex of each chain, and the walk yields the canonical list directly.
     """
     if not 1 <= len(terms) <= 2:
-        raise WeightsInvalid(f"need 1-2 weighted terms, got {len(terms)}")
+        raise InvalidArgument(f"need 1-2 weighted terms, got {len(terms)}")
     weights = [as_fraction(p) for p, _ in terms]
     if any(p <= 0 for p in weights):
-        raise WeightsInvalid(f"weights must be positive, got {weights}")
+        raise InvalidArgument(f"weights must be positive, got {weights}")
     if sum(weights) != 1:
-        raise WeightsInvalid(f"weights must sum to 1, got {weights}")
+        raise InvalidArgument(f"weights must sum to 1, got {weights}")
     if len(terms) == 1:
         return terms[0][1]
     (p, q), (f, g) = weights, (terms[0][1], terms[1][1])
@@ -340,9 +344,7 @@ def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
 
 def support(f: Frontier, w: Sequence[RationalLike]) -> Fraction:
     """max of w . z over the represented set, for w >= 0, w != 0."""
-    w1, w2 = as_point(w)
-    if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-        raise BadDirection(f"direction must be >=0 and nonzero, got ({w1},{w2})")
+    w1, w2 = _direction(w)
     # For w >= 0 the max over the downward-closed set is attained on the
     # vertex list (the rays only move points down/left).
     return max(w1 * x + w2 * y for x, y in f.vertices)
@@ -426,7 +428,7 @@ def frontier_to_svg(f: Frontier, title: str = "frontier") -> str:
     )
     labels = "".join(
         f'<text x="{px(x) + 6:.2f}" y="{py(y) - 6:.2f}" font-size="10" '
-        f'fill="#333">({x},{y})</text>'
+        f'fill="#333">{escape(_points_text((x, y)))}</text>'
         for x, y in f.vertices
     )
     return (

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DeltaOutOfRange, InvalidGame, NotStopping, UnknownState
+from .errors import InvalidArgument, InvalidGame, NotStopping, UnknownState
 from .frontier import Point, RationalLike, as_fraction, as_point, fraction_str
 
 
@@ -319,7 +319,7 @@ def discount_transform(g: Game, delta: RationalLike) -> Game:
     require_valid(g)
     delta = as_fraction(delta)
     if not 0 < delta < 1:
-        raise DeltaOutOfRange(f"delta must be in (0,1), got {delta}")
+        raise InvalidArgument(f"delta must be in (0,1), got {delta}")
     non_terminal_targets = sorted(
         {
             t

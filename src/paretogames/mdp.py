@@ -12,14 +12,16 @@ row holds at most three nonzeros, and I - P is an M-matrix, so no pivoting
 is needed).  ``_policy_iterate`` is the one strategy-iteration loop: policy
 iteration for the maximizer, ranking successors by (w . v, u . v)
 lexicographically, u the other axis, and Hoffman-Karp strategy iteration
-for the minimizer (``_minimizer_optimum``).  The exact Pareto frontier at a
-state is enumerated by dichotomic weight refinement: expose the two
-lexicographic extreme vertices, then recursively probe each candidate edge
-with its facet-normal direction until every edge is confirmed.  One sweep
-serves every state, since each direction's optimal policy is optimal from
-all states at once.  The sweep keeps vertices only; every one of them is
-the value of a concrete policy that ``_BestResponse`` memoizes, so the
-frontier is achievable by construction.
+for the minimizer (``_minimizer_optimum``).  Every optimum, that of
+``optimal_policy`` included, breaks ties by u this way, so its value is
+unique for every direction.  The exact Pareto frontier at a state is
+enumerated by dichotomic weight refinement: expose the two lexicographic
+extreme vertices, then recursively probe each candidate edge with its
+facet-normal direction until every edge is confirmed.  One sweep serves
+every state, since each direction's optimal policy is optimal from all
+states at once.  The sweep keeps vertices only; every one of them is the
+value of a concrete policy that ``_BestResponse`` memoizes, so the frontier
+is achievable by construction.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
-    BadDirection,
+    InvalidArgument,
     InvalidGame,
-    InvalidStrategy,
     InvariantBroken,
     NotStoppingUnderPolicy,
 )
-from .frontier import Frontier, Point, RationalLike, as_point, canonicalize
+from .frontier import Frontier, Point, RationalLike, _direction, canonicalize
 from .games import Game, Kind, StateRecord, require_stopping, require_valid
 
 MDStrategy = dict[str, str]  # Player-2 state id -> chosen successor id
@@ -43,18 +44,18 @@ MDPolicy = dict[str, str]  # Player-1 state id -> chosen successor id
 
 
 def _require_choices(g: Game, kind: Kind, chosen: Mapping[str, str], what: str) -> None:
-    """Raise InvalidStrategy unless ``chosen`` sends each state of ``kind``,
+    """Raise InvalidArgument unless ``chosen`` sends each state of ``kind``,
     and nothing else, to one of its successors (checked in listed order)."""
     owned = [s for s in g.states if s.kind is kind]
     if set(chosen) != {s.id for s in owned}:
         player = "Player-1" if kind is Kind.P1 else "Player-2"
-        raise InvalidStrategy(
+        raise InvalidArgument(
             f"{what} domain {sorted(chosen)} != {player} states "
             f"{sorted(s.id for s in owned)}"
         )
     for s in owned:
         if chosen[s.id] not in s.successors:
-            raise InvalidStrategy(
+            raise InvalidArgument(
                 f"{s.id}: chosen successor {chosen[s.id]!r} is not a successor"
             )
 
@@ -230,18 +231,15 @@ class _BestResponse:
             values = self._values[key] = _policy_values(self.g, {**self.sigma, **pol})
         return values
 
-    def iterate(
-        self, directions: Sequence[Point]
-    ) -> tuple[MDPolicy, dict[str, Point]]:
-        """``_policy_iterate`` from the first-successor policy."""
-        start = {sid: succ[0] for sid, succ in self._choices.items()}
-        return _policy_iterate(self._choices, start, self.evaluate, directions)
-
     def optimum(self, w: Point) -> tuple[MDPolicy, dict[str, Point]]:
         """The policy maximizing w . v and, among those, u . v, u =
-        ``_secondary_axis(w)``, and its values."""
+        ``_secondary_axis(w)``, and its values: ``_policy_iterate`` from the
+        first-successor policy."""
         if w not in self._optima:
-            self._optima[w] = self.iterate((w, _secondary_axis(w)))
+            start = {sid: succ[0] for sid, succ in self._choices.items()}
+            self._optima[w] = _policy_iterate(
+                self._choices, start, self.evaluate, (w, _secondary_axis(w))
+            )
         return self._optima[w]
 
 
@@ -271,25 +269,14 @@ def _minimizer_optimum(
 
 
 def optimal_policy(
-    mdp: Game,
-    w: Sequence[RationalLike],
-    lexicographic: bool = False,
+    mdp: Game, w: Sequence[RationalLike]
 ) -> tuple[MDPolicy, dict[str, Point]]:
-    """Policy maximizing w . E[total reward], by policy iteration.
-
-    With ``lexicographic`` set (axis-aligned w only), ties in the primary
-    objective are broken by maximizing the other reward component among
-    primary-optimal actions."""
+    """Policy maximizing w . E[total reward] from every state, by policy
+    iteration, and its values.  Ties are broken by maximizing the other
+    reward component (y when w is the x axis, else x) among w-optimal
+    actions, so the values are unique for every direction."""
     sigma = _checked_process(mdp, "optimal_policy requires a stopping process")
-    w = as_point(w)
-    if w[0] < 0 or w[1] < 0 or w == (0, 0):
-        raise BadDirection(f"direction must be >= 0 and nonzero, got {w}")
-    if lexicographic and w[0] != 0 and w[1] != 0:
-        raise BadDirection(
-            "lexicographic tie-breaking is defined for axis-aligned directions"
-        )
-    directions = (w, _secondary_axis(w)) if lexicographic else (w,)
-    return _BestResponse(mdp, sigma).iterate(directions)
+    return _BestResponse(mdp, sigma).optimum(_direction(w))
 
 
 # ---------------------------------------------------------------------------

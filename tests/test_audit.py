@@ -66,6 +66,15 @@ def test_frontier_audit_passes_a_curve_too_long_to_print():
     assert rep.ok and rep.checks_run == 7
 
 
+def test_frontier_audit_flags_a_curve_too_long_to_print_by_bit_lengths():
+    b = 10**4400
+    big = f"<{b.bit_length()}-bit/1-bit>"
+    rep = audit_frontier([(F(0), F(b)), (F(b), F(b))])
+    assert [(f.check, f.detail) for f in rep.findings] == [
+        ("y not decreasing", f"y {big} then {big} (at x 0, {big})")
+    ]
+
+
 def test_frontier_report_text_and_json():
     good = audit_frontier(fr((0, 1), (1, 0)))
     assert good.to_text().startswith("PASS")

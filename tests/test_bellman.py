@@ -15,9 +15,8 @@ import paretogames.games
 from paretogames import (
     Frontier,
     Game,
-    IncompleteCurveMap,
+    InvalidArgument,
     Kind,
-    NonPositiveEpsilon,
     NotStopping,
     StateRecord,
     achievable_within,
@@ -73,7 +72,7 @@ def test_first_iterate_of_fig3(fig3):
 
 
 def test_step_requires_complete_map(fig3):
-    with pytest.raises(IncompleteCurveMap):
+    with pytest.raises(InvalidArgument):
         bellman_step(fig3, {"s0": frontier_of([(F(0), F(0))])})
 
 
@@ -149,8 +148,13 @@ def test_max_iters_hit_reports_not_converged(fig3):
 
 
 def test_nonpositive_epsilon_rejected(fig3):
-    with pytest.raises(NonPositiveEpsilon):
+    with pytest.raises(InvalidArgument):
         value_iterate(fig3, 0, 10)
+
+
+def test_negative_max_iters_rejected(fig3):
+    with pytest.raises(InvalidArgument, match="^max_iters must be >= 0, got -1$"):
+        value_iterate(fig3, EPS, -1)
 
 
 def test_iterate_coordinates_bounded_by_initial_tail_bound():
@@ -448,6 +452,11 @@ def test_tail_bound_requires_stopping():
         tail_bound(g, 0)
 
 
+def test_tail_bound_rejects_a_negative_step():
+    with pytest.raises(InvalidArgument, match="^n must be >= 0, got -1$"):
+        tail_bound(_coin_game(), -1)
+
+
 # ---------------------------------------------------------------------------
 # achievable_within
 
@@ -474,7 +483,7 @@ def test_achievable_within_three_values(fig3):
 
 
 def test_achievable_within_rejects_negative_epsilon(fig3):
-    with pytest.raises(NonPositiveEpsilon):
+    with pytest.raises(InvalidArgument):
         achievable_within(
             fig3, "s0", (F(0), F(0)), exact_map(FIG3_EXACT), -1
         )

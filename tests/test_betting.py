@@ -26,6 +26,7 @@ from paretogames import (
     BettingGame,
     EqualSplitAdam,
     HypothesisViolated,
+    InvalidArgument,
     InvalidBettingGame,
     InvalidValuation,
     NotWinningVertex,
@@ -480,6 +481,13 @@ def _escape_arena() -> BettingGame:
             NotWinningVertex,
             "e is outside the winning set",
         ),
+        (
+            lambda: eve_move(
+                tiny_arena(), {"t1", "t2"}, BettingConfig("t2", F(1)), (F(1), F(1))
+            ),
+            InvalidArgument,
+            "t2 is not an Eve vertex",
+        ),
     ],
     ids=[
         "no-choice-left",
@@ -489,6 +497,7 @@ def _escape_arena() -> BettingGame:
         "three-bets",
         "potential-off-the-winning-set",
         "eve-move-off-the-winning-set",
+        "eve-move-at-an-adam-vertex",
     ],
 )
 def test_each_betting_guard_names_the_fault(play, error, message):

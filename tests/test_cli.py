@@ -153,7 +153,7 @@ def test_discount_rejects_bad_delta(fig3_path, tmp_path, capsys):
         "-o",
         str(tmp_path / "x.json"),
     )
-    assert code == 2 and err.startswith("error: DeltaOutOfRange")
+    assert code == 2 and err.startswith("error: InvalidArgument")
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ def test_query_rejects_a_non_positive_epsilon(heating_path, capsys, epsilon):
         f"--epsilon={epsilon}",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: NonPositiveEpsilon: epsilon must be > 0")
+    assert err.startswith("error: InvalidArgument: epsilon must be > 0")
 
 
 def test_query_with_many_minimizer_strategies_answers_quickly(
@@ -615,6 +615,39 @@ def test_zero_denominator_is_an_input_error(
     code, _, err = run(capsys, *argv(tmp_path, heating_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, game, bet: ["solve-vi", game, "--epsilon", "0",
+                                "--out-dir", str(tmp / "vi")],
+        lambda tmp, game, bet: ["solve-vi", game, "--max-iters", "-1",
+                                "--out-dir", str(tmp / "vi")],
+        lambda tmp, game, bet: ["query", game, "--state", "HH1", "--point=0,0",
+                                "--epsilon", "0"],
+        lambda tmp, game, bet: ["query", game, "--state", "HH1", "--point=0,0",
+                                "--max-iters", "0"],
+        lambda tmp, game, bet: ["query", game, "--state", "HH1", "--point=1"],
+        lambda tmp, game, bet: ["discount", game, "--delta", "0",
+                                "-o", str(tmp / "x.json")],
+        lambda tmp, game, bet: ["discount", game, "--delta", "1",
+                                "-o", str(tmp / "x.json")],
+        lambda tmp, game, bet: ["betting-sim", bet[0], "--target", bet[1],
+                                "--bound", "0"],
+        lambda tmp, game, bet: ["betting-sim", bet[0], "--target", bet[1],
+                                "--runs", "0"],
+        lambda tmp, game, bet: ["betting-sim", bet[0], "--target", ","],
+    ],
+    ids=["vi-epsilon", "vi-max-iters", "query-epsilon", "query-max-iters",
+         "query-point", "delta-0", "delta-1", "bound", "runs", "target"],
+)
+def test_a_bad_option_value_is_an_invalid_argument(
+    argv, heating_path, betting_path, tmp_path, capsys
+):
+    code, out, err = run(capsys, *argv(tmp_path, heating_path, betting_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidArgument: ") and err.count("\n") == 1
 
 
 def _write_bytes(path: Path, data: bytes) -> Path:

@@ -16,8 +16,8 @@ from conftest import (
 )
 from paretogames import (
     Game,
+    InvalidArgument,
     Kind,
-    NonPositiveEpsilon,
     NotStopping,
     StateRecord,
     certified_curves,
@@ -376,8 +376,8 @@ def test_certified_curves_never_enumerate(fig3, monkeypatch, name):
     "epsilon, max_iters, error, message",
     [
         (F(1, 1000), 0, ValueError, "max_iters must be >= 1, got 0"),
-        (0, 10000, NonPositiveEpsilon, "epsilon must be > 0, got 0"),
-        ("-1/2", 10000, NonPositiveEpsilon, "epsilon must be > 0, got -1/2"),
+        (0, 10000, InvalidArgument, "epsilon must be > 0, got 0"),
+        ("-1/2", 10000, InvalidArgument, "epsilon must be > 0, got -1/2"),
     ],
 )
 def test_certified_curves_reject_bad_options_before_any_work(

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 import floatoracle as fo
 from paretogames import (
     MINUS_INFINITY,
-    BadDirection,
-    EmptyInput,
     Frontier,
     GameSolverError,
+    InvalidArgument,
     InvalidCurveFile,
-    OutOfDomain,
-    WeightsInvalid,
+    as_fraction,
     canonicalize,
     contains,
     dwc_conv_union,
@@ -52,7 +50,7 @@ def fr(*pts) -> Frontier:
 @pytest.mark.parametrize(
     "vertices, error, message",
     [
-        ((), EmptyInput, "a frontier needs at least one vertex"),
+        ((), InvalidArgument, "a frontier needs at least one vertex"),
         (
             ((0, 1), (0, 0)),
             ValueError,
@@ -120,7 +118,7 @@ def test_canonicalize_middle_point_on_segment_removed():
 
 
 def test_canonicalize_empty_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InvalidArgument):
         canonicalize([])
 
 
@@ -174,7 +172,7 @@ def test_slope_at_right_endpoint():
 
 
 def test_slope_out_of_domain():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(InvalidArgument):
         slope_at(fr((0, 1), (1, 0)), 2)
 
 
@@ -225,7 +223,7 @@ def test_queries_match_a_linear_scan(f):
             assert contains(f, (x, y)) == (y <= h)
     beyond = f.x_last + F(1, 3)
     assert evaluate(f, beyond) is None and not contains(f, (beyond, f.y_first - 9))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(InvalidArgument):
         slope_at(f, beyond)
 
 
@@ -239,6 +237,13 @@ def test_kept_slopes_take_no_part_in_equality_hash_or_repr():
         "vertices": (True, True, True),
         "slopes": (False, False, False),
     }
+
+
+def test_as_fraction_rejects_a_bool_and_a_non_number_as_type_errors():
+    with pytest.raises(TypeError, match="^boolean is not a coordinate$"):
+        as_fraction(True)
+    with pytest.raises(TypeError, match="^cannot interpret <object object at "):
+        as_fraction(object())
 
 
 def test_repr_of_a_coordinate_too_long_to_print_gives_its_bit_lengths():
@@ -353,11 +358,11 @@ def test_weighted_sum_points_average():
 
 def test_weighted_sum_rejects_bad_weights():
     f = fr((0, 0))
-    with pytest.raises(WeightsInvalid):
+    with pytest.raises(InvalidArgument):
         weighted_sum([(F(1, 2), f), (F(1, 3), f)])
-    with pytest.raises(WeightsInvalid):
+    with pytest.raises(InvalidArgument):
         weighted_sum([(F(3, 2), f), (F(-1, 2), f)])
-    with pytest.raises(WeightsInvalid):
+    with pytest.raises(InvalidArgument):
         weighted_sum([])
 
 
@@ -508,9 +513,9 @@ def test_support_examples():
 
 def test_support_rejects_bad_directions():
     f = fr((0, 1), (1, 0))
-    with pytest.raises(BadDirection):
+    with pytest.raises(InvalidArgument):
         support(f, (-1, 1))
-    with pytest.raises(BadDirection):
+    with pytest.raises(InvalidArgument):
         support(f, (0, 0))
 
 
@@ -586,6 +591,14 @@ def test_malformed_csv_row_names_its_line(text, message):
     with pytest.raises(InvalidCurveFile) as info:
         frontier_from_csv(text)
     assert str(info.value) == message
+
+
+def test_svg_labels_a_coordinate_too_long_to_print_by_its_bit_lengths():
+    b = 10**4400
+    bits = b.bit_length()
+    svg = parseString(frontier_to_svg(Frontier(((0, b), (b, 0)))))
+    labels = [t.firstChild.data for t in svg.getElementsByTagName("text")[1:]]
+    assert labels == [f"(0,<{bits}-bit/1-bit>)", f"(<{bits}-bit/1-bit>,0)"]
 
 
 def test_svg_title_is_escaped():

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from paretogames import (
-    DeltaOutOfRange,
     Game,
+    InvalidArgument,
     InvalidGame,
     Kind,
     StateRecord,
@@ -372,7 +372,7 @@ def test_discount_always_stopping_on_random_games():
 
 def test_discount_delta_out_of_range(fig3):
     for delta in (F(0), F(1), F(3, 2), F(-1, 2)):
-        with pytest.raises(DeltaOutOfRange):
+        with pytest.raises(InvalidArgument):
             discount_transform(fig3, delta)
 
 

@@ -11,10 +11,9 @@ import pytest
 
 import paretogames.mdp as mdp_module
 from paretogames import (
-    BadDirection,
     Game,
+    InvalidArgument,
     InvalidGame,
-    InvalidStrategy,
     Kind,
     NotStopping,
     NotStoppingUnderPolicy,
@@ -81,10 +80,10 @@ def test_induce_without_p2_states_is_identity():
 
 
 def test_induce_rejects_bad_strategy(heating):
-    with pytest.raises(InvalidStrategy, match="is not a successor"):
+    with pytest.raises(InvalidArgument, match="is not a successor"):
         # total over HC2, CH2 and D1, but HH1 is not a successor of HC2
         induce_mdp(heating, {"HC2": "HH1", "CH2": "CH3", "D1": "HH1"})
-    with pytest.raises(InvalidStrategy):
+    with pytest.raises(InvalidArgument):
         induce_mdp(heating, {})  # missing choices
 
 
@@ -136,13 +135,13 @@ def test_policy_evaluate_fig3_always_s1(fig3_mdp):
         (
             True,
             {"CC1": "HC2"},
-            InvalidStrategy,
+            InvalidArgument,
             "policy domain ['CC1'] != Player-1 states ['CC1', 'CH1', 'HC1']",
         ),
         (
             True,
             {"CC1": "HH1", "HC1": "HCS3", "CH1": "D1"},
-            InvalidStrategy,
+            InvalidArgument,
             "CC1: chosen successor 'HH1' is not a successor",
         ),
     ],
@@ -275,7 +274,7 @@ def test_optimal_policy_fig3_balanced_direction(fig3_mdp):
 
 
 def test_optimal_policy_fig3_lexicographic(fig3_mdp):
-    pol, vals = optimal_policy(fig3_mdp, (F(1), F(0)), lexicographic=True)
+    pol, vals = optimal_policy(fig3_mdp, (F(1), F(0)))
     assert pol["s0"] == "s1"
     assert vals["s0"] == (F(1), F(0))
 
@@ -299,12 +298,10 @@ def test_optimal_policy_no_choices():
 
 
 def test_optimal_policy_rejects_bad_directions(fig3_mdp):
-    with pytest.raises(BadDirection):
+    with pytest.raises(InvalidArgument):
         optimal_policy(fig3_mdp, (F(-1), F(1)))
-    with pytest.raises(BadDirection):
+    with pytest.raises(InvalidArgument):
         optimal_policy(fig3_mdp, (F(0), F(0)))
-    with pytest.raises(BadDirection):
-        optimal_policy(fig3_mdp, (F(1), F(1)), lexicographic=True)
 
 
 def test_optimal_policy_requires_stopping():
@@ -467,7 +464,7 @@ def test_optimal_policies_are_pinned():
             for _ in range(5):
                 yield optimal_policy(mdp, random_positive_direction(rng))
             for axis in ((F(1), F(0)), (F(0), F(1))):
-                yield optimal_policy(mdp, axis, lexicographic=True)
+                yield optimal_policy(mdp, axis)
 
     assert _sha256(parts()) == (
         "c4c8cbc65ca2121562aad14d9e59841cc061c6464ba324184d9db94d26793f70"
