@@ -25,7 +25,12 @@ have finitely many vertices with small-denominator rational coordinates, so
 after sweeps 1, 2, 4, 8, ... it rounds the iterate to denominators 10,
 100, ... and returns the first rounding that the fixpoint check accepts.
 The curve operator of a stopping game has exactly one fixpoint, so an
-accepted rounding is the Pareto-curve family itself.
+accepted rounding is the Pareto-curve family itself.  Each rounding is
+first screened on two numbers per state, the right x and the top y of its
+curve, which the operator maps by max, min, weighted sum and reward alone;
+only a rounding that passes is made in full and checked.  The screen never
+drops a rounding the check accepts: rounding is monotone, so those numbers
+are the rounded curves' own, and an exact fixpoint reproduces them.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .errors import InvalidArgument, InvariantBroken
 from .frontier import (
     Frontier,
     RationalLike,
+    _text,
     as_fraction,
     as_point,
     canonicalize,
@@ -181,7 +187,7 @@ def tail_bound(g: Game, n: int) -> Fraction:
     (1-q)^k * |S| * R — a closed-form geometric sum.
     """
     if n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {n}")
+        raise InvalidArgument(f"n must be >= 0, got {_text(n)}")
     require_stopping(g, "tail bound requires a stopping game")
     ceiling, decay = _tail_terms(g)
     return ceiling * decay ** (n // len(g.states))
@@ -242,13 +248,59 @@ class _Snapped(dict):
         return f
 
 
+class _SnappedEnds(_Snapped):
+    """The right x and top y of each state's curve in ``curves``, the two
+    alone rounded to a denominator of at most ``d`` when first read."""
+
+    def __missing__(self, sid: str) -> tuple[Fraction, Fraction]:
+        f = self.curves[sid]
+        ends = self[sid] = (
+            f.x_last.limit_denominator(self.d),
+            f.y_first.limit_denominator(self.d),
+        )
+        return ends
+
+
+def _ends_fixed(g: Game, ends: Mapping[str, tuple[Fraction, Fraction]]) -> bool:
+    """True iff at every state the (right x, top y) pair that the update
+    makes of its successors' pairs in ``ends`` is its own pair; stops at
+    the first state, in listed order, where it is not."""
+    for s in g.states:
+        if s.kind is Kind.TERMINAL:
+            update = (0, 0)
+        else:
+            xs, ys = zip(*(ends[t] for t in s.successors))
+            if s.kind is Kind.P1:
+                x, y = max(xs), max(ys)
+            elif s.kind is Kind.P2:
+                x, y = min(xs), min(ys)
+            else:  # chance
+                ps = [p for _, p in s.transitions]
+                x = sum(p * v for p, v in zip(ps, xs))
+                y = sum(p * v for p, v in zip(ps, ys))
+            update = (x + s.reward[0], y + s.reward[1])
+        if update != ends[s.id]:
+            return False
+    return True
+
+
 def _snap(g: Game, curves: CurveMap, n: int) -> CurveMap | None:
     """The first rounding of ``curves`` to denominators d = 10, 100, ...,
     10^t (t the bit length of the sweep count n) that one simultaneous step
-    reproduces at every state, or None.  Each candidate is built lazily and
-    dropped at its first mismatching state, so a failing one costs a few
-    states rather than a sweep."""
+    reproduces at every state, or None.  A candidate is first screened on
+    two numbers per state (``_ends_fixed`` on ``_SnappedEnds``), which
+    never drops one that the full check accepts.  ``limit_denominator(d)``
+    returns a closest fraction with denominator at most d, so rounding is
+    monotone and the rounded curves' right x and top y are the rounded
+    right x and top y; and the union, the intersection, the weighted sum
+    and the translation make their output's pair by the max, the min, the
+    weighted sum and the sum of their inputs' pairs.  Only a candidate
+    that passes is rounded in full, lazily, and dropped at its first
+    mismatching state, so a failing one costs a few states rather than a
+    sweep."""
     for k in range(1, n.bit_length() + 1):
+        if not _ends_fixed(g, _SnappedEnds(curves, 10**k)):
+            continue
         candidate = _Snapped(curves, 10**k)
         if _fixed_at_every_state(g, candidate):
             return {s.id: candidate[s.id] for s in g.states}
@@ -272,8 +324,14 @@ def value_iterate(
     depth of the stopping attractor, contract the (c,c)-shift distance
     between any two families by a factor below 1, so two fixpoints are at
     distance 0), and the Pareto-curve family is that fixpoint; so an
-    accepted candidate *is* the family, however it was obtained.
-    Non-stopping games never snap, since their fixpoint is not unique.
+    accepted candidate *is* the family, however it was obtained.  A
+    candidate is rounded in full only if its right x and top y at every
+    state, rounded alone, are what the update makes of its successors'
+    (max at Player 1, min at Player 2, weighted sum at chance, each plus
+    the reward; (0, 0) at a terminal).  That screen is sound: rounding is
+    monotone, so these are the rounded curves' right x and top y, and the
+    curve operations map them by exactly those rules.  Non-stopping games
+    never snap, since their fixpoint is not unique.
     (b) For stopping games, the certified residual drops to ``epsilon`` or
     below.  The residual after sweep n is tail_bound(g, 0) * A_n, with A_n
     the largest worst-case probability of surviving n steps; it is sound
@@ -297,9 +355,9 @@ def value_iterate(
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
-        raise InvalidArgument(f"epsilon must be > 0, got {epsilon}")
+        raise InvalidArgument(f"epsilon must be > 0, got {_text(epsilon)}")
     if max_iters < 0:
-        raise InvalidArgument(f"max_iters must be >= 0, got {max_iters}")
+        raise InvalidArgument(f"max_iters must be >= 0, got {_text(max_iters)}")
     stopping = check_stopping(g).stopping
     if stopping:
         ceiling, _ = _tail_terms(g)
@@ -355,7 +413,7 @@ def achievable_within(
     g.state(s)
     eps = as_fraction(epsilon)
     if eps < 0:
-        raise InvalidArgument(f"epsilon must be >= 0, got {eps}")
+        raise InvalidArgument(f"epsilon must be >= 0, got {_text(eps)}")
     zx, zy = as_point(z)
     if contains(curves[s], (zx + eps, zy + eps)):
         return "yes"

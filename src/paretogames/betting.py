@@ -52,7 +52,7 @@ from .errors import (
     StepBoundExceeded,
     UnknownState,
 )
-from .frontier import RationalLike, as_fraction, fraction_str
+from .frontier import RationalLike, _text, as_fraction, fraction_str
 from .games import _read_json, _string_id, _write_json
 
 
@@ -447,7 +447,7 @@ def step_bound(bg: BettingGame, B: RationalLike) -> int:
     The credit bound B must be positive; otherwise raises InvalidArgument."""
     B = as_fraction(B)
     if B <= 0:
-        raise InvalidArgument(f"credit bound must be positive, got {B}")
+        raise InvalidArgument(f"credit bound must be positive, got {_text(B)}")
     return math.ceil((B + bg._w_powers[-1]) / bg._step_gain)
 
 

@@ -85,7 +85,9 @@ def _direction(w: Sequence[RationalLike]) -> Point:
     """w as a point, which must be >= 0 and nonzero to be a direction."""
     w1, w2 = as_point(w)
     if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-        raise InvalidArgument(f"direction must be >=0 and nonzero, got ({w1},{w2})")
+        raise InvalidArgument(
+            f"direction must be >=0 and nonzero, got {_points_text((w1, w2))}"
+        )
     return w1, w2
 
 
@@ -145,10 +147,10 @@ class Frontier:
         return f"Frontier[{_points_text(*self.vertices)}]"
 
 
-def _text(x: Fraction) -> str:
+def _text(x: Fraction | int) -> str:
     """``str(x)``, or, past the interpreter's int-to-text digit limit, the
     bit lengths of its numerator and denominator, so a message never
-    raises."""
+    raises.  An int is written the same way, with denominator 1."""
     try:
         return str(x)
     except ValueError:
@@ -233,7 +235,9 @@ def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, fl
     """
     x = as_fraction(x)
     if x > f.x_last:
-        raise InvalidArgument(f"slope queried at x={x} > x_last={f.x_last}")
+        raise InvalidArgument(
+            f"slope queried at x={_text(x)} > x_last={_text(f.x_last)}"
+        )
     if x < f.x_first:
         return (Fraction(0), Fraction(0))
     k, slopes = bisect_left(f.vertices, x, key=itemgetter(0)), f.slopes
@@ -315,9 +319,13 @@ def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
         raise InvalidArgument(f"need 1-2 weighted terms, got {len(terms)}")
     weights = [as_fraction(p) for p, _ in terms]
     if any(p <= 0 for p in weights):
-        raise InvalidArgument(f"weights must be positive, got {weights}")
+        raise InvalidArgument(
+            f"weights must be positive, got [{', '.join(map(_text, weights))}]"
+        )
     if sum(weights) != 1:
-        raise InvalidArgument(f"weights must sum to 1, got {weights}")
+        raise InvalidArgument(
+            f"weights must sum to 1, got [{', '.join(map(_text, weights))}]"
+        )
     if len(terms) == 1:
         return terms[0][1]
     (p, q), (f, g) = weights, (terms[0][1], terms[1][1])

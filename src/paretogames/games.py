@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgument, InvalidGame, NotStopping, UnknownState
-from .frontier import Point, RationalLike, as_fraction, as_point, fraction_str
+from .frontier import Point, RationalLike, _text, as_fraction, as_point, fraction_str
 
 
 class Kind(str, Enum):
@@ -319,7 +319,7 @@ def discount_transform(g: Game, delta: RationalLike) -> Game:
     require_valid(g)
     delta = as_fraction(delta)
     if not 0 < delta < 1:
-        raise InvalidArgument(f"delta must be in (0,1), got {delta}")
+        raise InvalidArgument(f"delta must be in (0,1), got {_text(delta)}")
     non_terminal_targets = sorted(
         {
             t

@@ -21,6 +21,7 @@ from paretogames import (
     StateRecord,
     achievable_within,
     bellman_step,
+    canonicalize,
     check_determinacy,
     check_fixpoint,
     contains,
@@ -303,6 +304,44 @@ def test_non_stopping_game_has_no_residuals():
     res = value_iterate(g, EPS, 5)
     assert res.residuals == () and res.residual_bound is None
     assert res.iterations == 5 and not res.converged
+
+
+def test_snap_screen_never_drops_a_candidate_the_full_check_accepts(
+    fig3, heating
+):
+    # every candidate _snap would try, at every power-of-two sweep up to
+    # each run's stop: the screen on two numbers per state passes whenever
+    # the rounded family is fixed at every state
+    bellman = paretogames.bellman
+    games = [random_stopping_game(seed, max_states=8) for seed in range(150)]
+    accepted = screened_out = 0
+    for i, g in enumerate(games + [fig3, heating]):
+        stop = value_iterate(g, EPS, 10000).iterations
+        for n, curves in enumerate(islice(iterates(g), stop + 1)):
+            if n == 0 or n & (n - 1):
+                continue
+            for k in range(1, n.bit_length() + 1):
+                screen = bellman._ends_fixed(g, bellman._SnappedEnds(curves, 10**k))
+                if bellman._fixed_at_every_state(g, bellman._Snapped(curves, 10**k)):
+                    assert screen, (i, n, k)
+                    accepted += 1
+                screened_out += not screen
+    assert accepted >= 150 and screened_out > 0
+
+
+def test_fig3_snap_rounds_only_the_accepted_candidate(fig3, monkeypatch):
+    # the nine candidates at sweeps 8 and 16 fail the screen, so the only
+    # curves rounded in full are the six of the candidate accepted at 32
+    calls = []
+
+    def spy(points):
+        calls.append(points)
+        return canonicalize(points)
+
+    monkeypatch.setattr(paretogames.bellman, "canonicalize", spy)
+    res = value_iterate(fig3, EPS, 10000)
+    assert res.iterations == 32 and res.fixpoint_reached
+    assert len(calls) == 6 == len(fig3.states)
 
 
 # SHA-256 of repr(sorted(curves.items())) for iterate 40 of fig3 and

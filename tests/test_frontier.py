@@ -18,9 +18,12 @@ from paretogames import (
     GameSolverError,
     InvalidArgument,
     InvalidCurveFile,
+    achievable_within,
     as_fraction,
     canonicalize,
+    certified_curves,
     contains,
+    discount_transform,
     dwc_conv_union,
     evaluate,
     extremal_points,
@@ -29,11 +32,14 @@ from paretogames import (
     frontier_to_svg,
     intersect_min,
     slope_at,
+    step_bound,
     support,
+    tail_bound,
     translate,
+    value_iterate,
     weighted_sum,
 )
-from randgen import DIRECTIONS_32, random_frontier
+from randgen import DIRECTIONS_32, random_betting_game, random_frontier
 
 rational = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 point_lists = st.lists(st.tuples(rational, rational), min_size=1, max_size=8)
@@ -251,6 +257,49 @@ def test_repr_of_a_coordinate_too_long_to_print_gives_its_bit_lengths():
     bits = (10**5000 + 1).bit_length()
     f = Frontier(((-big, F(1, 2)), (F(0), F(0))))
     assert repr(f) == f"Frontier[(-<{bits}-bit/2-bit>,1/2), (0,0)]"
+
+
+TOO_LONG = 10**5000  # past the interpreter's int-to-text digit limit
+_ORIGIN = Frontier(((F(0), F(0)),))
+
+
+def _arena():
+    return random_betting_game(random.Random(0))[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: support(_ORIGIN, (-TOO_LONG, 1)), id="direction"),
+        pytest.param(lambda g: slope_at(_ORIGIN, TOO_LONG), id="slope_at"),
+        pytest.param(lambda g: weighted_sum([(-TOO_LONG, _ORIGIN)]), id="weight-sign"),
+        pytest.param(lambda g: weighted_sum([(TOO_LONG, _ORIGIN)]), id="weight-sum"),
+        pytest.param(lambda g: discount_transform(g, TOO_LONG), id="delta"),
+        pytest.param(lambda g: tail_bound(g, -TOO_LONG), id="tail_bound-n"),
+        pytest.param(lambda g: value_iterate(g, -TOO_LONG, 1), id="vi-epsilon"),
+        pytest.param(lambda g: value_iterate(g, 1, -TOO_LONG), id="vi-max_iters"),
+        pytest.param(
+            lambda g: achievable_within(
+                g, "s0", (0, 0), {sid: _ORIGIN for sid in g.state_ids}, -TOO_LONG
+            ),
+            id="achievable-epsilon",
+        ),
+        pytest.param(
+            lambda g: certified_curves(g, -TOO_LONG, 1), id="certified-epsilon"
+        ),
+        pytest.param(
+            lambda g: certified_curves(g, 1, -TOO_LONG), id="certified-max_iters"
+        ),
+        pytest.param(lambda g: step_bound(_arena(), -TOO_LONG), id="credit-bound"),
+    ],
+)
+def test_a_bad_argument_too_long_to_print_is_an_invalid_argument(call, fig3):
+    # the message writes the value by its bit lengths instead of raising
+    # the interpreter's own ValueError
+    with pytest.raises(InvalidArgument) as info:
+        call(fig3)
+    assert type(info.value) is InvalidArgument
+    assert f"<{TOO_LONG.bit_length()}-bit/1-bit>" in str(info.value)
 
 
 # ---------------------------------------------------------------------------

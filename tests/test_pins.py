@@ -1,12 +1,13 @@
 """Exact outputs of the game transforms, the betting attractor, the curve
-hull and the stopping check.
+hull, the stopping check and value iteration.
 
 ``normalize`` and ``discount_transform`` build new states with fresh ids in
 a fixed order, ``attractor`` returns a strategy and escape lengths, the hull
 behind ``canonicalize``, ``dwc_conv_union`` and ``intersect_min`` returns a
-vertex list, and ``check_stopping`` a verdict with its witness set; the
-other tests check what these mean, and these digests pin what they are, so
-a rewrite of any of them must reproduce them bit for bit.
+vertex list, ``check_stopping`` a verdict with its witness set, and
+``value_iterate`` a sweep count, residuals and curves; the other tests check
+what these mean, and these digests pin what they are, so a rewrite of any of
+them must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -24,9 +25,11 @@ from paretogames import (
     check_stopping,
     discount_transform,
     dwc_conv_union,
+    fixture_game,
     game_to_json,
     intersect_min,
     normalize,
+    value_iterate,
 )
 from randgen import random_betting_game, random_game, random_stopping_game
 
@@ -141,4 +144,32 @@ def test_hull_and_stopping_outputs_are_pinned():
     )
     assert _sha256(_stopping_records()) == (
         "f8b1a1a0d7b03efc2dacace8b0cf432fc907faa4b994da14f8ab23e1f2d41d32"
+    )
+
+
+def _hex(x: F) -> str:
+    """x as hex numerator and denominator: some residuals are too long for
+    the interpreter's int-to-decimal digit limit."""
+    return f"{x.numerator:x}/{x.denominator:x}"
+
+
+def _value_iteration_records():
+    games = [random_stopping_game(seed, max_states=8) for seed in range(150)]
+    games += [fixture_game("fig3"), fixture_game("heating")]
+    for g in games:
+        res = value_iterate(g, F(1, 1000), 10000)
+        yield (
+            res.iterations,
+            _hex(res.residual_bound),
+            [_hex(r) for r in res.residuals],
+            [
+                [sid, [[_hex(x), _hex(y)] for x, y in res.curves[sid].vertices]]
+                for sid in g.state_ids
+            ],
+        )
+
+
+def test_value_iteration_outputs_are_pinned():
+    assert _sha256(_value_iteration_records()) == (
+        "b0cddbf8e0edfc274d221fd7eb25638b7c5b4e1b664b3fcd16ca9b8fb57ee340"
     )
