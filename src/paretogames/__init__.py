@@ -25,12 +25,8 @@ from .errors import (
     InvalidBettingGame,
     InvalidCurveFile,
     InvalidGame,
-    InvalidValuation,
     InvariantBroken,
     NotStopping,
-    NotStoppingUnderPolicy,
-    NotWinningVertex,
-    RelationMismatch,
     StepBoundExceeded,
     UnknownState,
 )

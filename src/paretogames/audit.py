@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import InvariantBroken, RelationMismatch
+from .errors import InvariantBroken
 from .frontier import (
     MINUS_INFINITY,
     Frontier,
@@ -114,6 +114,13 @@ class _Collector:
         )
 
 
+def _mismatch(detail: str) -> AuditReport:
+    """The report of a parent that is not its relation's output: one
+    "relation mismatch" finding, not counted as a check."""
+    finding = AuditFinding("", "relation mismatch", detail)
+    return AuditReport(ok=False, findings=(finding,))
+
+
 # ---------------------------------------------------------------------------
 # Single-curve audit
 
@@ -162,12 +169,12 @@ def audit_frontier(f: PointsLike) -> AuditReport:
 def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
     """Slope laws of the union-hull relation (parent before the reward shift).
 
-    Raises RelationMismatch unless parent is exactly the downward-closed
-    convex hull of the two successor sets.
+    Unless parent is exactly the downward-closed convex hull of the two
+    successor sets, reports only a relation mismatch.
     """
     expected = dwc_conv_union(succ1, succ2)
     if parent != expected:
-        raise RelationMismatch(
+        return _mismatch(
             f"parent {parent} is not the union hull {expected} of "
             f"{succ1} and {succ2}"
         )
@@ -204,17 +211,18 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
 def audit_p2(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
     """Slope laws of the pointwise-min relation (parent before the reward shift).
 
-    Raises RelationMismatch unless parent is exactly the pointwise minimum
-    of the two successors.  At each parent vertex: where one successor is
-    strictly lower its slopes pass through to the parent; where they are
-    equal the parent takes the max of left slopes and the min of right
-    slopes.  At the truncation vertex (x = min of the successors' x_last) the
-    right slope is the vertical ray, contributed by the shorter successor
-    even when the other is strictly lower, so the min law applies there.
+    Unless parent is exactly the pointwise minimum of the two successors,
+    reports only a relation mismatch.  At each parent vertex: where one
+    successor is strictly lower its slopes pass through to the parent; where
+    they are equal the parent takes the max of left slopes and the min of
+    right slopes.  At the truncation vertex (x = min of the successors'
+    x_last) the right slope is the vertical ray, contributed by the shorter
+    successor even when the other is strictly lower, so the min law applies
+    there.
     """
     expected = intersect_min(succ1, succ2)
     if parent != expected:
-        raise RelationMismatch(
+        return _mismatch(
             f"parent {parent} is not the pointwise-min {expected} of "
             f"{succ1} and {succ2}"
         )
@@ -293,13 +301,14 @@ def audit_chance(
     Every parent vertex must split as p1*q + p2*r where q, r are the unique
     dot-product maximizers on the successors for a direction strictly
     between the vertex's left and right slopes, and the parent's left slope
-    must equal the smaller of the two decomposition left slopes.
+    must equal the smaller of the two decomposition left slopes.  Unless
+    parent is exactly the weighted sum, reports only a relation mismatch.
     """
     p1 = as_fraction(p1)
     p2 = as_fraction(p2)
     expected = weighted_sum([(p1, succ1), (p2, succ2)])
     if parent != expected:
-        raise RelationMismatch(
+        return _mismatch(
             f"parent {parent} is not the weighted sum {expected} of "
             f"{p1}*{succ1} + {p2}*{succ2}"
         )
@@ -406,16 +415,12 @@ def audit_game(
                 lambda: f"{parent} != successor {succs[0]}",
             )
             continue
-        try:
-            if s.kind is Kind.P1:
-                sub = audit_p1(parent, *succs)
-            elif s.kind is Kind.P2:
-                sub = audit_p2(parent, *succs)
-            else:  # chance
-                sub = audit_chance(parent, *succs, *(p for _, p in s.transitions))
-        except RelationMismatch as exc:
-            col.findings.append(AuditFinding(s.id, "relation mismatch", str(exc)))
-            continue
+        if s.kind is Kind.P1:
+            sub = audit_p1(parent, *succs)
+        elif s.kind is Kind.P2:
+            sub = audit_p2(parent, *succs)
+        else:  # chance
+            sub = audit_chance(parent, *succs, *(p for _, p in s.transitions))
         col.checks += sub.checks_run
         col.findings.extend(
             AuditFinding(s.id, f.check, f.detail) for f in sub.findings

@@ -46,13 +46,11 @@ from .errors import (
     HypothesisViolated,
     InvalidArgument,
     InvalidBettingGame,
-    InvalidValuation,
     InvariantBroken,
-    NotWinningVertex,
     StepBoundExceeded,
     UnknownState,
 )
-from .frontier import RationalLike, _text, as_fraction, fraction_str
+from .frontier import RationalLike, _points_text, _text, as_fraction, fraction_str
 from .games import _read_json, _string_id, _write_json
 
 
@@ -236,37 +234,35 @@ def _compute_attractor(bg: BettingGame, targets: frozenset[str]) -> AttractorRes
 # Potential and Eve's move
 
 
-def potential(bg: BettingGame, attr: AttractorResult, config: BettingConfig) -> Fraction:
-    """p(v, c) = c + W^a(v) - W^|V| (requires v in the winning set of
-    ``attr``, which holds the offset W^a(v) - W^|V| of ``bg``)."""
+def potential(attr: AttractorResult, config: BettingConfig) -> Fraction:
+    """p(v, c) = c + W^a(v) - W^|V|, with the offset W^a(v) - W^|V| read
+    from ``attr``; a vertex outside its winning set raises InvalidArgument."""
     try:
         return config.credit + attr.offsets[config.vertex]
     except KeyError:
-        raise NotWinningVertex(f"{config.vertex} is outside the winning set") from None
+        raise InvalidArgument(f"{config.vertex} is outside the winning set") from None
 
 
 def _check_valuation(
     v: BetVertex, credit: Fraction, d: Sequence[RationalLike]
 ) -> tuple[Fraction, Fraction]:
     if len(d) != 2:
-        raise InvalidValuation(f"valuation needs two entries, got {len(d)}")
+        raise InvalidArgument(f"valuation needs two entries, got {len(d)}")
     d1, d2 = as_fraction(d[0]), as_fraction(d[1])
     if d1 < 0 or d2 < 0:
-        raise InvalidValuation(f"bets must be >= 0, got ({d1},{d2})")
+        raise InvalidArgument(f"bets must be >= 0, got {_points_text((d1, d2))}")
     (_, w1), (_, w2) = v.edges
     if w1 * d1 + w2 * d2 != credit:
-        raise InvalidValuation(
+        w1, d1, w2, d2, c = map(_text, (w1, d1, w2, d2, credit))
+        raise InvalidArgument(
             f"bets must satisfy w1*d1 + w2*d2 = credit exactly: "
-            f"{w1}*{d1} + {w2}*{d2} != {credit}"
+            f"{w1}*{d1} + {w2}*{d2} != {c}"
         )
     return d1, d2
 
 
 def _eve_pick(
-    bg: BettingGame,
-    attr: AttractorResult,
-    v: BetVertex,
-    d: tuple[Fraction, Fraction],
+    attr: AttractorResult, v: BetVertex, d: tuple[Fraction, Fraction]
 ) -> BettingConfig:
     options = [BettingConfig(t, di) for (t, _), di in zip(v.edges, d) if t in attr.a]
     if not options:
@@ -274,7 +270,7 @@ def _eve_pick(
             f"{v.id}: winning Eve vertex without a winning successor"
         )
     # max keeps the first of equal potentials, so ties go to the first edge
-    return max(options, key=lambda c: potential(bg, attr, c))
+    return max(options, key=lambda c: potential(attr, c))
 
 
 def eve_move(
@@ -286,15 +282,17 @@ def eve_move(
     """Eve's potential-maximizing answer to the valuation d at an Eve
     vertex: among the successor configurations (t_i, d_i), pick the one of
     maximal potential.  From a non-target configuration the chosen successor
-    raises the potential by at least W^|V| - W^(|V|+1)."""
+    raises the potential by at least W^|V| - W^(|V|+1).  A configuration
+    that is not at a winning Eve vertex, or bets that are negative or do not
+    split its credit exactly, raise InvalidArgument."""
     attr = attractor(bg, T)
     v = bg.vertex(config.vertex)
     if v.kind != BetKind.EVE:
         raise InvalidArgument(f"{v.id} is not an Eve vertex")
     if v.id not in attr.winning:
-        raise NotWinningVertex(f"{v.id} is outside the winning set")
+        raise InvalidArgument(f"{v.id} is outside the winning set")
     dd = _check_valuation(v, config.credit, d)
-    return _eve_pick(bg, attr, v, dd)
+    return _eve_pick(attr, v, dd)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +459,10 @@ def simulate(
     """Play Eve's potential strategy against the supplied adversary until
     the play sits on a target vertex with at least the initial credit, or
     the credit reaches B, which must be positive (InvalidArgument otherwise).
-    Requires Eve to win the reachability game from every vertex.  Checks the exact per-step potential increment along the
-    way (raising InvariantBroken if it fails) and never runs past the
-    derived step bound.
+    Requires Eve to win the reachability game from every vertex.  Checks
+    the exact per-step potential increment along the way (raising
+    InvariantBroken if it fails) and never runs past the derived step
+    bound.  A malformed or inexact valuation raises AdamCheated.
 
     A credit of 0 can never grow again (every valuation must then be
     (0, 0)), so once the play sits on a target with credit 0 below a
@@ -484,7 +483,7 @@ def simulate(
     delta = bg._step_gain
     c0 = bg.initial.credit
     config = bg.initial
-    steps = [TraceStep(0, config.vertex, config.credit, potential(bg, attr, config))]
+    steps = [TraceStep(0, config.vertex, config.credit, potential(attr, config))]
 
     n = 0
     while True:
@@ -510,9 +509,9 @@ def simulate(
             d = adam.valuation(v, config.credit)
             try:
                 dd = _check_valuation(v, config.credit, d)
-            except InvalidValuation as exc:
+            except (InvalidArgument, TypeError) as exc:
                 raise AdamCheated(str(exc)) from exc
-            nxt = _eve_pick(bg, attr, v, dd)
+            nxt = _eve_pick(attr, v, dd)
         else:
             choice = adam.choose(v)
             if choice not in v.successors:
@@ -521,7 +520,7 @@ def simulate(
                 )
             nxt = BettingConfig(choice, config.credit)
         p_now = steps[-1].potential
-        p_next = potential(bg, attr, nxt)
+        p_next = potential(attr, nxt)
         if config.vertex not in targets and p_next - p_now < delta:
             raise InvariantBroken(
                 f"potential increment {p_next - p_now} below {delta} "

@@ -41,7 +41,6 @@ from .errors import (
     InvalidCurveFile,
     InvariantBroken,
     NotStopping,
-    NotStoppingUnderPolicy,
     StepBoundExceeded,
 )
 from .frontier import (
@@ -70,7 +69,7 @@ INTERNAL = 4
 # The first matching row gives the exit code; the last one catches package bugs.
 _EXIT_CODES = (
     ((StepBoundExceeded, DigitLimitExceeded), LIMIT),
-    ((NotStopping, NotStoppingUnderPolicy, HypothesisViolated), NEGATIVE),
+    ((NotStopping, HypothesisViolated), NEGATIVE),
     (InvariantBroken, INTERNAL),
     ((GameSolverError, OSError), INPUT_ERROR),
     (Exception, INTERNAL),

@@ -2,11 +2,15 @@
 
 Every error raised for bad input or an unmet precondition derives from
 :class:`GameSolverError`, so callers can catch one type at the boundary.
-An argument value that cannot be used raises :class:`InvalidArgument`,
-whichever function it is passed to.  Each other leaf class names a distinct
+There is one class per fault, whichever function meets it.  An argument
+value that cannot be used raises :class:`InvalidArgument`, whichever function
+it is passed to: a betting configuration outside the winning set or a
+valuation passed to ``eve_move`` too.  Each other leaf class names a distinct
 input file, precondition or protocol fault: a malformed game, curve file or
-betting arena, an unknown state, a non-stopping game, an opponent breaking
-the betting protocol, an internal limit, or a broken internal invariant.  A
+betting arena, an unknown state, a process that is not stopping (found by the
+structural check or by evaluating a policy), an opponent breaking the betting
+protocol, an internal limit, or a broken internal invariant.  An audit reports
+a curve that is not its relation's output as a finding; it raises nothing.  A
 builtin ``TypeError`` or ``ValueError`` means a wrong type passed to
 ``as_fraction``/``as_point`` or a non-canonical ``Frontier(...)``: from the
 command line, a bug.
@@ -59,15 +63,14 @@ class UnknownState(GameSolverError):
 
 
 class NotStopping(GameSolverError):
-    """The operation requires a stopping game/decision process."""
+    """The operation requires a stopping game or decision process, and some
+    strategy profile's chain misses the terminals: found by the structural
+    check (with a witness of states that can avoid them forever) or by
+    evaluating one policy's chain (witness empty)."""
 
     def __init__(self, message: str, witness: tuple[str, ...] = ()):
         super().__init__(message)
         self.witness = witness
-
-
-class NotStoppingUnderPolicy(GameSolverError):
-    """Policy evaluation hit a policy whose chain never reaches a terminal."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,28 +85,17 @@ class HypothesisViolated(GameSolverError):
     """A betting-game operation requires the bettor to win from everywhere."""
 
 
-class NotWinningVertex(GameSolverError):
-    """A bettor move was requested at a vertex outside the winning region."""
-
-
-class InvalidValuation(GameSolverError):
-    """An opponent valuation broke the exact budget-split constraint."""
-
-
-class AdamCheated(InvalidValuation):
-    """Raised by the simulator when the opponent violates the move protocol."""
+class AdamCheated(GameSolverError):
+    """Raised by the simulator when the opponent breaks the move protocol:
+    a malformed valuation, bets that are negative or do not split the credit
+    exactly, a choice that is not a successor, or a script run out."""
 
 
 class StepBoundExceeded(GameSolverError):
-    """A simulation ran past its proven step bound (indicates a logic bug)."""
-
-
-# ---------------------------------------------------------------------------
-# Audit
-
-
-class RelationMismatch(GameSolverError):
-    """A parent curve is not the stated operation of its successor curves."""
+    """A simulation ended without a target configuration: its credit was
+    exhausted on a target, which no play regains, or it ran past the step
+    bound, which is proved only from a zero initial credit (from zero, a
+    bug)."""
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,7 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    InvalidArgument,
-    InvalidGame,
-    InvariantBroken,
-    NotStoppingUnderPolicy,
-)
+from .errors import InvalidArgument, InvalidGame, InvariantBroken, NotStopping
 from .frontier import Frontier, Point, RationalLike, _direction, canonicalize
 from .games import Game, Kind, StateRecord, require_stopping, require_valid
 
@@ -98,7 +93,8 @@ def policy_evaluate(mdp: Game, pol: Mapping[str, str]) -> dict[str, Point]:
     Solves v(s) = reward(s) + sum_t P(s,t) v(t) with v = (0,0) on terminals
     exactly, by sparse elimination without pivoting (see ``_policy_values``);
     a zero pivot means the policy's chain keeps some states away from the
-    terminals forever."""
+    terminals forever, so the process is not stopping: NotStopping, with
+    an empty witness."""
     require_valid(mdp)
     sigma = _forced_moves(mdp)
     _require_choices(mdp, Kind.P1, pol, "policy")
@@ -144,7 +140,7 @@ def _policy_values(g: Game, choice: Mapping[str, str]) -> dict[str, Point]:
             x, y = x - f * rhs[j][0], y - f * rhs[j][1]
         pivot = row.pop(i)
         if not pivot:
-            raise NotStoppingUnderPolicy(
+            raise NotStopping(
                 "the policy's chain does not reach a terminal from every state"
             )
         upper.append({c: a / pivot for c, a in row.items() if a})

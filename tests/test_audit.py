@@ -5,12 +5,9 @@ import random
 from fractions import Fraction as F
 from itertools import islice
 
-import pytest
-
 from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of, three_successor_game
 from paretogames import (
     AuditFinding,
-    RelationMismatch,
     audit_chance,
     audit_frontier,
     audit_game,
@@ -110,9 +107,14 @@ def test_p1_heating_top_state(heating):
     assert rep.ok
 
 
+def assert_relation_mismatch_only(rep):
+    """An auditor's report on a parent that is not its relation's output."""
+    assert not rep.ok and rep.checks_run == 0
+    assert [f.check for f in rep.findings] == ["relation mismatch"]
+
+
 def test_p1_rejects_unrelated_curves():
-    with pytest.raises(RelationMismatch):
-        audit_p1(fr((5, 5)), fr((0, 1)), fr((1, 0)))
+    assert_relation_mismatch_only(audit_p1(fr((5, 5)), fr((0, 1)), fr((1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +154,7 @@ def test_p2_truncation_by_shorter_curve():
 
 
 def test_p2_rejects_unrelated_curves():
-    with pytest.raises(RelationMismatch):
-        audit_p2(fr((5, 5)), fr((0, 1)), fr((1, 0)))
+    assert_relation_mismatch_only(audit_p2(fr((5, 5)), fr((0, 1)), fr((1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +200,8 @@ def test_chance_three_vertex_parent():
 
 
 def test_chance_rejects_unrelated_curves():
-    with pytest.raises(RelationMismatch):
-        audit_chance(fr((5, 5)), fr((0, 1)), fr((1, 0)), F(1, 2), F(1, 2))
+    rep = audit_chance(fr((5, 5)), fr((0, 1)), fr((1, 0)), F(1, 2), F(1, 2))
+    assert_relation_mismatch_only(rep)
 
 
 def test_pairwise_audits_on_random_frontiers():
@@ -209,11 +210,18 @@ def test_pairwise_audits_on_random_frontiers():
         f1, f2 = random_frontier(rng), random_frontier(rng)
         from paretogames import dwc_conv_union, intersect_min
 
-        assert audit_p1(dwc_conv_union(f1, f2), f1, f2).ok
-        assert audit_p2(intersect_min(f1, f2), f1, f2).ok
+        union, low = dwc_conv_union(f1, f2), intersect_min(f1, f2)
+        assert audit_p1(union, f1, f2).ok
+        assert audit_p2(low, f1, f2).ok
         p = rng.choice([F(1, 2), F(1, 3), F(3, 4)])
         parent = weighted_sum([(p, f1), (1 - p, f2)])
         assert audit_chance(parent, f1, f2, p, 1 - p).ok
+        # shifted off its relation's output, a parent is reported, not raised
+        off = (1, 0)
+        assert_relation_mismatch_only(audit_p1(translate(union, off), f1, f2))
+        assert_relation_mismatch_only(audit_p2(translate(low, off), f1, f2))
+        rep = audit_chance(translate(parent, off), f1, f2, p, 1 - p)
+        assert_relation_mismatch_only(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from paretogames import (
     HypothesisViolated,
     InvalidArgument,
     InvalidBettingGame,
-    InvalidValuation,
-    NotWinningVertex,
     RandomAdam,
     ScriptedAdam,
     StarveAdam,
@@ -284,14 +282,12 @@ def test_eve_move_increment_bound_with_skewed_weights():
     delta = w**size - w ** (size + 1)
     cur = BettingConfig("v", F(1))
     nxt = eve_move(bg, targets, cur, (F(10), F(0)))
-    assert (
-        potential(bg, attr, nxt) >= potential(bg, attr, cur) + delta
-    )
+    assert potential(attr, nxt) >= potential(attr, cur) + delta
 
 
 def test_eve_move_rejects_cheating_valuations():
     bg = tiny_arena()
-    with pytest.raises(InvalidValuation):
+    with pytest.raises(InvalidArgument):
         eve_move(bg, {"t1", "t2"}, BettingConfig("v", F(1)), (F(0), F(1)))
 
 
@@ -351,7 +347,7 @@ def test_potential_growth_along_traces():
             if prev.vertex not in targets:
                 assert nxt.potential >= prev.potential + delta
             cfg = BettingConfig(prev.vertex, prev.credit)
-            assert potential(bg, attr, cfg) == prev.potential
+            assert potential(attr, cfg) == prev.potential
 
 
 def test_step_bound_formula():
@@ -467,18 +463,16 @@ def _escape_arena() -> BettingGame:
         ),
         (
             lambda: potential(
-                _escape_arena(),
-                attractor(_escape_arena(), {"t"}),
-                BettingConfig("u", F(1)),
+                attractor(_escape_arena(), {"t"}), BettingConfig("u", F(1))
             ),
-            NotWinningVertex,
+            InvalidArgument,
             "u is outside the winning set",
         ),
         (
             lambda: eve_move(
                 _escape_arena(), {"t"}, BettingConfig("e", F(1)), (F(1), F(1))
             ),
-            NotWinningVertex,
+            InvalidArgument,
             "e is outside the winning set",
         ),
         (
@@ -504,6 +498,45 @@ def test_each_betting_guard_names_the_fault(play, error, message):
     with pytest.raises(error) as info:
         play()
     assert str(info.value) == message
+
+
+TINY_BET = F(1, 10**5000)  # a denominator past the int-to-text digit limit
+TINY_BET_TEXT = f"<1-bit/{(10**5000).bit_length()}-bit>"
+
+
+@pytest.mark.parametrize(
+    "d", [(0, TINY_BET), (-TINY_BET, 0)], ids=["inexact-split", "negative-bet"]
+)
+def test_simulate_reports_a_valuation_too_long_to_print(d):
+    with pytest.raises(AdamCheated) as info:
+        simulate(tiny_arena(), {"t1", "t2"}, 100, ScriptedAdam([d]))
+    assert TINY_BET_TEXT in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "d", [(0, TINY_BET), (-TINY_BET, 0)], ids=["inexact-split", "negative-bet"]
+)
+def test_eve_move_reports_a_valuation_too_long_to_print(d):
+    with pytest.raises(InvalidArgument) as info:
+        eve_move(tiny_arena(), {"t1", "t2"}, BettingConfig("v", F(1)), d)
+    assert TINY_BET_TEXT in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "d", [None, 7, (1.5, 0), ("x", 1)], ids=["none", "int", "float", "text"]
+)
+def test_simulate_blames_the_adversary_for_a_malformed_valuation(d):
+    class Malformed(betting.Adversary):
+        def valuation(self, v, credit):
+            return d
+
+    with pytest.raises(AdamCheated):
+        simulate(tiny_arena(), {"t1", "t2"}, 100, Malformed())
+
+
+def test_eve_move_raises_type_error_for_a_valuation_of_wrong_type():
+    with pytest.raises(TypeError):
+        eve_move(tiny_arena(), {"t1", "t2"}, BettingConfig("v", F(1)), None)
 
 
 def test_trace_csv_shape():
@@ -662,13 +695,12 @@ def test_exhausted_credit_on_target_ends_the_play_at_once():
 # internal invariants
 
 
-def _worse_pick(bg, attr, v, d):
+def _worse_pick(attr, v, d):
     """Eve's pick inverted: the successor of smallest potential."""
-    w = bg.min_weight
     options = [
         BettingConfig(t, di) for (t, _), di in zip(v.edges, d) if t in attr.a
     ]
-    return min(options, key=lambda c: c.credit + w ** attr.a[c.vertex])
+    return min(options, key=lambda c: c.credit + attr.offsets[c.vertex])
 
 
 def test_potential_check_survives_optimized_mode():

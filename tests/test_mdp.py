@@ -16,7 +16,6 @@ from paretogames import (
     InvalidGame,
     Kind,
     NotStopping,
-    NotStoppingUnderPolicy,
     StateRecord,
     check_stopping,
     enumerate_md_strategies,
@@ -163,8 +162,9 @@ def test_policy_evaluate_detects_non_stopping_policy():
             term("t"),
         ),
     )
-    with pytest.raises(NotStoppingUnderPolicy):
+    with pytest.raises(NotStopping) as info:
         policy_evaluate(g, {"a": "a"})
+    assert info.value.witness == ()
     assert policy_evaluate(g, {"a": "t"})["a"] == (F(1), F(0))
 
 
@@ -213,12 +213,12 @@ def test_self_loops_raise_exactly_when_no_terminal_is_reached():
     }
     # a Player-1 self-loop, and a cycle through the chance self-loop
     for pol in ({"p": "p", "q": "t"}, {"p": "q", "q": "c"}):
-        with pytest.raises(NotStoppingUnderPolicy):
+        with pytest.raises(NotStopping):
             policy_evaluate(SELF_LOOPS, pol)
 
 
 def test_singular_profiles_match_a_reachability_oracle():
-    """policy_evaluate raises NotStoppingUnderPolicy iff some state of the
+    """policy_evaluate raises NotStopping iff some state of the
     profile's chain cannot reach a terminal, on games that need not be
     stopping; otherwise its values solve the equations exactly."""
     processes = [SELF_LOOPS]
@@ -233,7 +233,7 @@ def test_singular_profiles_match_a_reachability_oracle():
             stops = _reaches_terminals(mdp, pol)
             try:
                 vals = policy_evaluate(mdp, pol)
-            except NotStoppingUnderPolicy:
+            except NotStopping:
                 assert not stops, (mdp, pol)
                 raised += 1
                 continue
@@ -254,7 +254,7 @@ def test_policy_evaluate_zero_residual_on_random_mdps():
         }
         try:
             vals = policy_evaluate(mdp, pol)
-        except NotStoppingUnderPolicy:
+        except NotStopping:
             # the sampled policy may close a loop, but only a real one
             assert not _reaches_terminals(mdp, pol)
             continue
