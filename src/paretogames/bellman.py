@@ -7,7 +7,9 @@ its successors; a Player-2 state the intersection (pointwise minimum); a
 chance state the probability-weighted Minkowski sum — each followed by a
 translation by the state's reward vector.  Rewards are honored on every
 state kind; games whose rewards all sit on Player-2 states are the special
-case.
+case.  Each entry point validates the game once; the update then reads the
+transitions directly and adds the reward inside the operation's kernel, so
+it builds one checked curve per state.
 
 ``bellman_step`` applies the operator simultaneously (reads only the given
 map).  ``iterates`` yields X0 and then the result of each in-place sweep in
@@ -44,15 +46,15 @@ from .errors import InvalidArgument, InvariantBroken
 from .frontier import (
     Frontier,
     RationalLike,
+    _intersect,
     _text,
+    _union,
+    _weighted_sum,
     as_fraction,
     as_point,
     canonicalize,
     contains,
-    dwc_conv_union,
-    intersect_min,
     translate,
-    weighted_sum,
 )
 from .games import (
     Game,
@@ -115,18 +117,22 @@ def _require_complete(g: Game, x: Mapping[str, Frontier]) -> None:
 
 
 def _state_update(s: StateRecord, x: Mapping[str, Frontier]) -> Frontier:
+    """The operator at ``s``, the reward added inside the operation.  The
+    kernels skip the weight checks: every caller (``iterates``,
+    ``bellman_step``, ``check_fixpoint``, ``value_iterate`` through
+    ``check_stopping``) has run ``require_valid``, which proves at most two
+    successors and chance probabilities positive and summing to 1."""
     if s.kind is Kind.TERMINAL:
         return _ZERO
-    succs = [x[t] for t in s.successors]
+    if len(s.transitions) == 1:
+        f = x[s.transitions[0][0]]
+        return f if s.reward == (0, 0) else translate(f, s.reward)
+    (t1, p1), (t2, p2) = s.transitions
     if s.kind is Kind.P1:
-        combined = succs[0] if len(succs) == 1 else dwc_conv_union(*succs)
-    elif s.kind is Kind.P2:
-        combined = succs[0] if len(succs) == 1 else intersect_min(*succs)
-    else:  # chance
-        combined = weighted_sum(list(zip((p for _, p in s.transitions), succs)))
-    if s.reward == (0, 0):
-        return combined
-    return translate(combined, s.reward)
+        return _union(x[t1], x[t2], s.reward)
+    if s.kind is Kind.P2:
+        return _intersect(x[t1], x[t2], s.reward)
+    return _weighted_sum(p1, x[t1], p2, x[t2], s.reward)
 
 
 def bellman_step(g: Game, x: Mapping[str, Frontier]) -> CurveMap:
@@ -204,10 +210,11 @@ def _alive_step(g: Game, alive: dict[str, Fraction]) -> dict[str, Fraction]:
     for s in g.states:
         if s.kind is Kind.TERMINAL:
             out[s.id] = Fraction(0)
-        elif s.kind is Kind.CHANCE:
-            out[s.id] = sum(p * alive[t] for t, p in s.transitions)
-        else:
-            out[s.id] = max(alive[t] for t in s.successors)
+        elif s.kind is Kind.CHANCE and len(s.transitions) == 2:
+            (t1, p1), (t2, p2) = s.transitions
+            out[s.id] = p1 * alive[t1] + p2 * alive[t2]
+        else:  # a single chance successor has probability 1
+            out[s.id] = max(alive[t] for t, _ in s.transitions)
     return out
 
 

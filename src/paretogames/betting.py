@@ -150,9 +150,9 @@ def validate_betting(bg: BettingGame) -> tuple[str, ...]:
             if t not in seen:
                 out.append(f"{v.id}: edge to unknown vertex {t!r}")
             if not 0 < w <= 1:
-                out.append(f"{v.id}: weight {w} outside (0,1]")
+                out.append(f"{v.id}: weight {_text(w)} outside (0,1]")
         if w1 + w2 != 1:
-            out.append(f"{v.id}: weights sum to {w1 + w2} != 1")
+            out.append(f"{v.id}: weights sum to {_text(w1 + w2)} != 1")
     if bg.initial.vertex not in seen:
         out.append(f"initial vertex {bg.initial.vertex!r} does not exist")
     return tuple(out)
@@ -497,11 +497,11 @@ def simulate(
         if n >= limit or exhausted:
             if max_steps is not None and max_steps < bound:
                 return Trace(tuple(steps), False, "max-steps", bound)
-            reason = f"no target configuration within {limit} steps"
+            reason = f"no target configuration within {_text(limit)} steps"
             if exhausted:
                 reason += (
                     f": credit exhausted at target {config.vertex} after {n}"
-                    f" steps, and 0 never regains the initial credit {c0}"
+                    f" steps, and 0 never regains the initial credit {_text(c0)}"
                 )
             raise StepBoundExceeded(reason)
         v = bg.vertex(config.vertex)
@@ -523,8 +523,9 @@ def simulate(
         p_next = potential(attr, nxt)
         if config.vertex not in targets and p_next - p_now < delta:
             raise InvariantBroken(
-                f"potential increment {p_next - p_now} below {delta} "
-                f"at step {n} from {config}"
+                f"potential increment {_text(p_next - p_now)} below "
+                f"{_text(delta)} at step {n} from {config.vertex} with credit "
+                f"{_text(config.credit)}"
             )
         config = nxt
         n += 1

@@ -22,7 +22,9 @@ their total vertex count: ``weighted_sum`` merges the two segment chains by
 slope, ``dwc_conv_union`` merges the two x-sorted vertex lists and makes one
 domination-and-hull pass, and ``intersect_min`` sweeps both lists once,
 emitting the minimum and the exact crossings in x order.  Only
-``canonicalize``, which takes arbitrary points, sorts.
+``canonicalize``, which takes arbitrary points, sorts.  Each operation wraps
+a private kernel that adds a shift (a Bellman update's reward) to the
+vertices of the one ``Frontier`` it builds; the operation passes (0, 0).
 """
 
 from __future__ import annotations
@@ -185,16 +187,25 @@ def canonicalize(points: PointsLike) -> Frontier:
     pts = sorted(_vertices_of(points))
     if not pts:
         raise InvalidArgument("cannot build a frontier from no points")
-    return _hull_of_sorted(pts)
+    return _hull_of_sorted(pts, (0, 0))
 
 
-def _hull_of_sorted(pts: Sequence[Point]) -> Frontier:
-    """Frontier of nonempty points sorted by (x, y), repeats allowed, by one
-    monotone-chain pass from the right (Andrew 1979).  A point not above the
-    last kept vertex is dominated (the first point met of each x is its
-    highest, so repeats and lower points with that x go too).  The last kept
-    vertex is popped while the segment from the new point is not strictly
-    flatter than the one after it (collinear or a convex dent)."""
+def _shifted(pts: Sequence[Point], shift: Point) -> Sequence[Point]:
+    """The points moved by ``shift``, or themselves for (0, 0)."""
+    if shift == (0, 0):
+        return pts
+    dx, dy = shift
+    return [(x + dx, y + dy) for x, y in pts]
+
+
+def _hull_of_sorted(pts: Sequence[Point], shift: Point) -> Frontier:
+    """Frontier of nonempty points sorted by (x, y), repeats allowed, moved
+    by ``shift``, by one monotone-chain pass from the right (Andrew 1979).
+    A point not above the last kept vertex is dominated (the first point met
+    of each x is its highest, so repeats and lower points with that x go
+    too).  The last kept vertex is popped while the segment from the new
+    point is not strictly flatter than the one after it (collinear or a
+    convex dent).  Only the kept vertices are moved."""
     hull = [pts[-1]]
     slopes: list[Fraction] = []  # slopes[k]: hull[k + 1] -> hull[k]
     for x, y in reversed(pts):
@@ -210,7 +221,7 @@ def _hull_of_sorted(pts: Sequence[Point]) -> Frontier:
         hull.append((x, y))
         slopes.append(s)
     hull.reverse()
-    return Frontier(tuple(hull))
+    return Frontier(tuple(_shifted(hull, shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +264,11 @@ def slope_at(f: Frontier, x: RationalLike) -> tuple[Fraction, Union[Fraction, fl
 
 def dwc_conv_union(f1: Frontier, f2: Frontier) -> Frontier:
     """Frontier of the downward-closed convex hull of the union."""
-    return _hull_of_sorted(list(merge(f1.vertices, f2.vertices)))
+    return _union(f1, f2, (0, 0))
+
+
+def _union(f1: Frontier, f2: Frontier, shift: Point) -> Frontier:
+    return _hull_of_sorted(list(merge(f1.vertices, f2.vertices)), shift)
 
 
 def _height_before(f: Frontier, k: int, x: Fraction) -> Fraction:
@@ -271,6 +286,10 @@ def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
     One sweep over both vertex lists in x order samples the minimum at
     every vertex x up to min(x_last) and adds the exact crossing inside
     each cell where the difference of the two heights changes sign."""
+    return _intersect(f1, f2, (0, 0))
+
+
+def _intersect(f1: Frontier, f2: Frontier, shift: Point) -> Frontier:
     v1, v2 = f1.vertices, f2.vertices
     x_hi = min(f1.x_last, f2.x_last)
     pts: list[Point] = []
@@ -296,14 +315,13 @@ def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
                 pts.append((xp + (x - xp) * t, a1 + (y1 - a1) * t))
         pts.append((x, min(y1, y2)))
         if x == x_hi:
-            return _hull_of_sorted(pts)
+            return _hull_of_sorted(pts, shift)
         prev = (x, y1, y2)
 
 
 def translate(f: Frontier, v: Sequence[RationalLike]) -> Frontier:
     """Shift every vertex by the vector v."""
-    vx, vy = as_point(v)
-    return Frontier(tuple((x + vx, y + vy) for x, y in f.vertices))
+    return Frontier(tuple(_shifted(f.vertices, as_point(v))))
 
 
 def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
@@ -329,7 +347,14 @@ def weighted_sum(terms: Sequence[tuple[RationalLike, Frontier]]) -> Frontier:
     if len(terms) == 1:
         return terms[0][1]
     (p, q), (f, g) = weights, (terms[0][1], terms[1][1])
-    a = [(p * x, p * y) for x, y in f.vertices]
+    return _weighted_sum(p, f, q, g, (0, 0))
+
+
+def _weighted_sum(
+    p: Fraction, f: Frontier, q: Fraction, g: Frontier, shift: Point
+) -> Frontier:
+    """``weighted_sum``'s walk, the shift riding on the first scaled chain."""
+    a = _shifted([(p * x, p * y) for x, y in f.vertices], shift)
     b = [(q * x, q * y) for x, y in g.vertices]
     sa, sb = f.slopes, g.slopes
     i = j = 0

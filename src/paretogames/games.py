@@ -136,7 +136,7 @@ def _collect_violations(g: Game, max_successors: int | None = 2) -> list[str]:
                 if p != 1:
                     out.append(
                         f"{s.id}: controlled transition to {t} has "
-                        f"probability {p} != 1"
+                        f"probability {_text(p)} != 1"
                     )
         else:  # chance
             probs = [p for _, p in s.transitions]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
 
@@ -29,12 +30,14 @@ from paretogames import (
     evaluate,
     extremal_points,
     initial_curves,
+    intersect_min,
     iterates,
     make_game,
     support,
     tail_bound,
     translate,
     value_iterate,
+    weighted_sum,
 )
 from randgen import DIRECTIONS_32, random_frontier, random_game, \
     random_stopping_game
@@ -91,6 +94,66 @@ def test_step_monotone_on_random_games():
         for s in g.state_ids:
             for w in DIRECTIONS_32[::4]:
                 assert support(out_lo[s], w) <= support(out_hi[s], w)
+
+
+def _reference_sweep(g: Game, curves: dict[str, Frontier]) -> None:
+    """One in-place sweep in listed order: each state's public operation on
+    its successors' curves, then ``translate`` by its reward."""
+    for s in g.states:
+        if s.kind is Kind.TERMINAL:
+            curves[s.id] = canonicalize([(0, 0)])
+            continue
+        succs = [curves[t] for t, _ in s.transitions]
+        if s.kind is Kind.CHANCE:
+            probs = [p for _, p in s.transitions]
+            combined = weighted_sum(list(zip(probs, succs)))
+        elif len(succs) == 1:
+            combined = succs[0]
+        elif s.kind is Kind.P1:
+            combined = dwc_conv_union(*succs)
+        else:
+            combined = intersect_min(*succs)
+        curves[s.id] = translate(combined, s.reward)
+
+
+def test_iterates_match_a_sweep_of_the_public_operations(fig3):
+    games = [fig3] + [random_stopping_game(seed, 40) for seed in range(60)]
+    single_chance = 0
+    for g in games:
+        single_chance += sum(
+            s.kind is Kind.CHANCE and len(s.transitions) == 1 for s in g.states
+        )
+        curves = initial_curves(g)
+        for got in islice(iterates(g), 1, 21):
+            _reference_sweep(g, curves)
+            assert got == curves
+            assert all(got[sid].slopes == f.slopes for sid, f in curves.items())
+    assert single_chance > 0  # chance states with one successor, probability 1
+
+
+def test_one_frontier_is_built_per_updated_state(monkeypatch):
+    g = random_stopping_game(3, max_states=40)
+    # every third state unrewarded, so that some single-successor states
+    # have nothing to add
+    states = tuple(
+        replace(s, reward=(0, 0)) if i % 3 == 0 else s
+        for i, s in enumerate(g.states)
+    )
+    g = Game(g.initial, states)
+    kept = [s for s in g.states if len(s.transitions) == 1 and s.reward == (0, 0)]
+    assert any(s.kind is not Kind.TERMINAL for s in kept)
+    built = []
+    check = Frontier.__post_init__
+
+    def counted(f):
+        built.append(f)
+        check(f)
+
+    sweeps = iterates(g)
+    next(islice(sweeps, 1, None))  # the first sweep, unspied
+    monkeypatch.setattr(Frontier, "__post_init__", counted)
+    next(sweeps)
+    assert len(built) == len(g.states) - len(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -28,6 +29,7 @@ from paretogames import (
     HypothesisViolated,
     InvalidArgument,
     InvalidBettingGame,
+    InvariantBroken,
     RandomAdam,
     ScriptedAdam,
     StarveAdam,
@@ -520,6 +522,54 @@ def test_eve_move_reports_a_valuation_too_long_to_print(d):
     with pytest.raises(InvalidArgument) as info:
         eve_move(tiny_arena(), {"t1", "t2"}, BettingConfig("v", F(1)), d)
     assert TINY_BET_TEXT in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "w1, w2, violation",
+    [
+        (-TINY_BET, 1 + TINY_BET, f"v: weight -{TINY_BET_TEXT} outside (0,1]"),
+        (
+            TINY_BET,
+            F(1, 2),
+            f"v: weights sum to <{(5 * 10**4999 + 1).bit_length()}-bit/"
+            f"{(10**5000).bit_length()}-bit> != 1",
+        ),
+    ],
+    ids=["weight", "weight-sum"],
+)
+def test_a_weight_too_long_to_print_is_named_by_its_bit_lengths(w1, w2, violation):
+    bg = BettingGame(
+        (
+            bv("v", "eve", "t1", w1, "t2", w2),
+            bv("t1", "eve", "v", F(1, 2), "t2", F(1, 2)),
+            bv("t2", "adam", "v", F(1, 2), "t1", F(1, 2)),
+        ),
+        BettingConfig("v", F(1)),
+    )
+    assert violation in validate_betting(bg)
+    with pytest.raises(InvalidBettingGame, match=re.escape(violation)):
+        simulate(bg, {"t1", "t2"}, 100, EqualSplitAdam())
+
+
+def test_an_exhausted_credit_too_long_to_print_is_named_by_its_bit_lengths():
+    bg, targets = random_betting_game(random.Random(7), TINY_BET)
+    with pytest.raises(StepBoundExceeded, match="credit exhausted") as info:
+        simulate(bg, targets, 100, StarveAdam())
+    assert str(info.value).endswith(f"the initial credit {TINY_BET_TEXT}")
+
+
+def test_a_broken_increment_too_long_to_print_is_named_by_its_bit_lengths(
+    monkeypatch,
+):
+    monkeypatch.setattr(betting, "_eve_pick", _worse_pick)
+    bg = tiny_arena()
+    bg = BettingGame(bg.vertices, BettingConfig("v", TINY_BET))
+    with pytest.raises(InvariantBroken) as info:
+        simulate(bg, {"t2"}, 100, ScriptedAdam(valuations=[(2 * TINY_BET, 0)]))
+    assert str(info.value) == (
+        f"potential increment {TINY_BET_TEXT} below 1/16 at step 0 from v "
+        f"with credit {TINY_BET_TEXT}"
+    )
 
 
 @pytest.mark.parametrize(

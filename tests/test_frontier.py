@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import floatoracle as fo
+import paretogames.frontier as frontier
 from paretogames import (
     MINUS_INFINITY,
     Frontier,
@@ -526,6 +527,42 @@ def test_union_matches_canonicalized_vertex_lists(f1, f2):
 @example(*MERGE_CASES[-1])
 def test_min_matches_canonicalized_samples_and_crossings(f1, f2):
     assert intersect_min(f1, f2) == canonicalize(_min_candidates(f1, f2))
+
+
+# ---------------------------------------------------------------------------
+# Each private kernel with a shift equals its operation, then translate
+
+
+shifts = st.just((F(0), F(0))) | st.tuples(grid, grid)
+# two unrelated frontiers, or a frontier and a translate of it, whose
+# segments then share every slope
+frontier_pairs = st.tuples(frontiers, frontiers) | st.tuples(
+    frontiers, st.tuples(grid, grid)
+).map(lambda fv: (fv[0], translate(*fv)))
+
+
+@settings(max_examples=300)
+@given(frontier_pairs, weights, shifts)
+@example((fr((0, 0)), fr((1, -1))), F(1, 3), (F(0), F(0)))
+@example((fr((0, 0)), fr((1, -1))), F(1, 2), (F(-2), F(1, 3)))
+@example(MERGE_CASES[2], F(1, 3), (F(1), F(-1)))
+def test_each_kernel_equals_its_operation_then_translate(pair, p, shift):
+    f1, f2 = pair
+    cases = [
+        (frontier._union(f1, f2, shift), dwc_conv_union(f1, f2)),
+        (frontier._intersect(f1, f2, shift), intersect_min(f1, f2)),
+        (
+            frontier._weighted_sum(p, f1, 1 - p, f2, shift),
+            weighted_sum([(p, f1), (1 - p, f2)]),
+        ),
+        (
+            frontier._hull_of_sorted(sorted(f1.vertices + f2.vertices), shift),
+            canonicalize(f1.vertices + f2.vertices),
+        ),
+    ]
+    for got, op in cases:
+        want = translate(op, shift)
+        assert (got.vertices, got.slopes) == (want.vertices, want.slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,18 @@ def test_each_structural_violation_is_named(states, violation):
     assert validate_game(g).violations == (violation,)
 
 
+def test_a_probability_too_long_to_print_is_named_by_its_bit_lengths():
+    tiny = F(1, 10**5000)  # a denominator past the int-to-text digit limit
+    violation = (
+        f"a: controlled transition to t has probability "
+        f"<1-bit/{(10**5000).bit_length()}-bit> != 1"
+    )
+    g = make_game("a", [("a", "p2", (0, 0), [("t", tiny)]), _T])
+    assert validate_game(g).violations == (violation,)
+    with pytest.raises(InvalidGame, match=violation):
+        require_valid(g)
+
+
 def test_require_valid_raises():
     g = Game("missing", (term("t"),))
     with pytest.raises(InvalidGame):
