@@ -25,6 +25,14 @@ that set's result, and then trusted by every play; the cached result is
 read-only, as every play shares it.  Each play still checks every step
 exactly: the valuation, Adam's successor and the potential increment.
 
+One step computes each exact number once.  At an Eve vertex it checks the
+valuation's split (a zero bet adds no product to it), then the pick that
+``eve_move`` also makes adds each winning option's bet to its offset once
+(a zero bet's potential is the offset itself) and returns the successor,
+its credit and its potential.  At an Adam vertex the potential is the
+credit plus the chosen successor's offset.  The increment check and the
+trace read that potential; nothing computes it again.
+
 An adversary (``Adversary``) gets what it reads and nothing more: the
 attractor once per play, through ``prepare(attr)``, then
 ``valuation(v, credit)`` at each Eve vertex and ``choose(v)`` at each of
@@ -50,8 +58,17 @@ from .errors import (
     StepBoundExceeded,
     UnknownState,
 )
-from .frontier import RationalLike, _points_text, _text, as_fraction, fraction_str
+from .frontier import (
+    RationalLike,
+    _fields_repr,
+    _points_text,
+    _text,
+    as_fraction,
+    fraction_str,
+)
 from .games import _read_json, _string_id, _write_json
+
+_ZERO = Fraction(0)  # the zero bet; shared, as a Fraction is immutable
 
 
 class BetKind:
@@ -64,6 +81,8 @@ class BetVertex:
     id: str
     kind: str
     edges: tuple[tuple[str, Fraction], ...]
+
+    __repr__ = _fields_repr
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -81,6 +100,8 @@ class BetVertex:
 class BettingConfig:
     vertex: str
     credit: Fraction
+
+    __repr__ = _fields_repr
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "credit", as_fraction(self.credit))
@@ -246,13 +267,22 @@ def potential(attr: AttractorResult, config: BettingConfig) -> Fraction:
 def _check_valuation(
     v: BetVertex, credit: Fraction, d: Sequence[RationalLike]
 ) -> tuple[Fraction, Fraction]:
+    """The valuation d as two Fractions, once it is checked to be two bets
+    >= 0 that split ``credit`` exactly along v's weights: w1*d1 + w2*d2 =
+    credit.  A zero bet adds no product to the split, since w*0 = 0 exactly;
+    the equality with the credit is still tested exactly.  A fault raises
+    InvalidArgument."""
     if len(d) != 2:
         raise InvalidArgument(f"valuation needs two entries, got {len(d)}")
     d1, d2 = as_fraction(d[0]), as_fraction(d[1])
     if d1 < 0 or d2 < 0:
         raise InvalidArgument(f"bets must be >= 0, got {_points_text((d1, d2))}")
     (_, w1), (_, w2) = v.edges
-    if w1 * d1 + w2 * d2 != credit:
+    if d1 and d2:
+        split = w1 * d1 + w2 * d2
+    else:
+        split = w1 * d1 if d1 else w2 * d2 if d2 else _ZERO
+    if split != credit:
         w1, d1, w2, d2, c = map(_text, (w1, d1, w2, d2, credit))
         raise InvalidArgument(
             f"bets must satisfy w1*d1 + w2*d2 = credit exactly: "
@@ -263,14 +293,26 @@ def _check_valuation(
 
 def _eve_pick(
     attr: AttractorResult, v: BetVertex, d: tuple[Fraction, Fraction]
-) -> BettingConfig:
-    options = [BettingConfig(t, di) for (t, _), di in zip(v.edges, d) if t in attr.a]
-    if not options:
+) -> tuple[str, Fraction, Fraction]:
+    """Eve's answer to the checked valuation d at the winning Eve vertex v:
+    the winning successor t_i whose configuration (t_i, d_i) has the largest
+    potential, as ``(t_i, d_i, potential)``.  Each option's potential is
+    computed once, read from ``attr.offsets``; a zero bet's is its offset
+    alone.  Ties go to the first edge."""
+    offsets = attr.offsets
+    best = None
+    for (t, _), di in zip(v.edges, d):
+        offset = offsets.get(t)
+        if offset is None:
+            continue
+        p = di + offset if di else offset
+        if best is None or p > best[2]:
+            best = (t, di, p)
+    if best is None:
         raise InvariantBroken(
             f"{v.id}: winning Eve vertex without a winning successor"
         )
-    # max keeps the first of equal potentials, so ties go to the first edge
-    return max(options, key=lambda c: potential(attr, c))
+    return best
 
 
 def eve_move(
@@ -291,8 +333,8 @@ def eve_move(
         raise InvalidArgument(f"{v.id} is not an Eve vertex")
     if v.id not in attr.winning:
         raise InvalidArgument(f"{v.id} is outside the winning set")
-    dd = _check_valuation(v, config.credit, d)
-    return _eve_pick(attr, v, dd)
+    t, credit, _ = _eve_pick(attr, v, _check_valuation(v, config.credit, d))
+    return BettingConfig(t, credit)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +361,8 @@ class Adversary:
         guided = self._attr.sigma.get(v.id, v.successors[0])
         (t1, w1), (_, w2) = v.edges
         if (t1 == guided) == on_guided:
-            return (credit / w1, Fraction(0))
-        return (Fraction(0), credit / w2)
+            return (credit / w1, _ZERO)
+        return (_ZERO, credit / w2)
 
 
 class RandomAdam(Adversary):
@@ -431,6 +473,8 @@ class TraceStep:
     credit: Fraction
     potential: Fraction
 
+    __repr__ = _fields_repr
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -462,7 +506,10 @@ def simulate(
     Requires Eve to win the reachability game from every vertex.  Checks
     the exact per-step potential increment along the way (raising
     InvariantBroken if it fails) and never runs past the derived step
-    bound.  A malformed or inexact valuation raises AdamCheated.
+    bound.  A malformed or inexact valuation raises AdamCheated.  Each step
+    computes the next potential once, in Eve's pick (``_eve_pick``, looked
+    up at each call) or as one addition at an Adam vertex, and checks its
+    increment over the current one.
 
     A credit of 0 can never grow again (every valuation must then be
     (0, 0)), so once the play sits on a target with credit 0 below a
@@ -481,55 +528,53 @@ def simulate(
     adam.prepare(attr)
 
     delta = bg._step_gain
+    offsets = attr.offsets
     c0 = bg.initial.credit
-    config = bg.initial
-    steps = [TraceStep(0, config.vertex, config.credit, potential(attr, config))]
+    vertex, credit = bg.initial.vertex, c0
+    p = potential(attr, bg.initial)
+    steps = [TraceStep(0, vertex, credit, p)]
 
     n = 0
     while True:
-        if config.credit >= B:
+        if credit >= B:
             return Trace(tuple(steps), True, "target-bound", bound)
         exhausted = False
-        if config.vertex in targets:
-            if config.credit >= c0:
+        if vertex in targets:
+            if credit >= c0:
                 return Trace(tuple(steps), True, "target-credit", bound)
-            exhausted = config.credit == 0
+            exhausted = credit == 0
         if n >= limit or exhausted:
             if max_steps is not None and max_steps < bound:
                 return Trace(tuple(steps), False, "max-steps", bound)
             reason = f"no target configuration within {_text(limit)} steps"
             if exhausted:
                 reason += (
-                    f": credit exhausted at target {config.vertex} after {n}"
+                    f": credit exhausted at target {vertex} after {n}"
                     f" steps, and 0 never regains the initial credit {_text(c0)}"
                 )
             raise StepBoundExceeded(reason)
-        v = bg.vertex(config.vertex)
+        v = bg.vertex(vertex)
         if v.kind == BetKind.EVE:
-            d = adam.valuation(v, config.credit)
+            d = adam.valuation(v, credit)
             try:
-                dd = _check_valuation(v, config.credit, d)
+                dd = _check_valuation(v, credit, d)
             except (InvalidArgument, TypeError) as exc:
                 raise AdamCheated(str(exc)) from exc
-            nxt = _eve_pick(attr, v, dd)
+            nxt, c_next, p_next = _eve_pick(attr, v, dd)
         else:
-            choice = adam.choose(v)
-            if choice not in v.successors:
-                raise AdamCheated(
-                    f"{v.id}: chose {choice!r}, not a successor"
-                )
-            nxt = BettingConfig(choice, config.credit)
-        p_now = steps[-1].potential
-        p_next = potential(attr, nxt)
-        if config.vertex not in targets and p_next - p_now < delta:
+            nxt = adam.choose(v)
+            if nxt not in v.successors:
+                raise AdamCheated(f"{v.id}: chose {nxt!r}, not a successor")
+            c_next, p_next = credit, credit + offsets[nxt]
+        if vertex not in targets and p_next - p < delta:
             raise InvariantBroken(
-                f"potential increment {_text(p_next - p_now)} below "
-                f"{_text(delta)} at step {n} from {config.vertex} with credit "
-                f"{_text(config.credit)}"
+                f"potential increment {_text(p_next - p)} below "
+                f"{_text(delta)} at step {n} from {vertex} with credit "
+                f"{_text(credit)}"
             )
-        config = nxt
+        vertex, credit, p = nxt, c_next, p_next
         n += 1
-        steps.append(TraceStep(n, config.vertex, config.credit, p_next))
+        steps.append(TraceStep(n, vertex, credit, p))
 
 
 def trace_to_csv(trace: Trace) -> str:

@@ -30,7 +30,7 @@ vertices of the one ``Frontier`` it builds; the operation passes (0, 0).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from heapq import merge
 from numbers import Rational
@@ -163,6 +163,29 @@ def _text(x: Fraction | int) -> str:
 def _points_text(*points: Point) -> str:
     """The points as ``(x,y)``, comma-separated, each coordinate by ``_text``."""
     return ", ".join(f"({_text(x)},{_text(y)})" for x, y in points)
+
+
+def _value_text(value: object) -> str:
+    """``repr(value)``, but with each Fraction, also inside a tuple, written
+    by ``_text``."""
+    if isinstance(value, Fraction):
+        return _text(value)
+    if isinstance(value, tuple):
+        items = ", ".join(map(_value_text, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
+
+
+def _fields_repr(obj: object) -> str:
+    """A dataclass's repr with its Fractions written by ``_text``, so that
+    printing it never raises; a dataclass holding Fractions takes it as its
+    ``__repr__``."""
+    text = ", ".join(
+        f"{f.name}={_value_text(getattr(obj, f.name))}"
+        for f in fields(obj)  # type: ignore[arg-type]
+        if f.repr
+    )
+    return f"{type(obj).__name__}({text})"
 
 
 PointsLike = Union[Frontier, Iterable[Sequence[RationalLike]]]

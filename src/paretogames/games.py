@@ -17,7 +17,15 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgument, InvalidGame, NotStopping, UnknownState
-from .frontier import Point, RationalLike, _text, as_fraction, as_point, fraction_str
+from .frontier import (
+    Point,
+    RationalLike,
+    _fields_repr,
+    _text,
+    as_fraction,
+    as_point,
+    fraction_str,
+)
 
 
 class Kind(str, Enum):
@@ -36,6 +44,8 @@ class StateRecord:
     kind: Kind
     reward: Point
     transitions: tuple[tuple[str, Fraction], ...]
+
+    __repr__ = _fields_repr
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", Kind(self.kind))

@@ -17,6 +17,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import paretogames.betting as betting
 from paretogames import (
@@ -34,6 +36,8 @@ from paretogames import (
     ScriptedAdam,
     StarveAdam,
     StepBoundExceeded,
+    Trace,
+    TraceStep,
     UnknownState,
     attractor,
     betting_from_json,
@@ -291,6 +295,64 @@ def test_eve_move_rejects_cheating_valuations():
     bg = tiny_arena()
     with pytest.raises(InvalidArgument):
         eve_move(bg, {"t1", "t2"}, BettingConfig("v", F(1)), (F(0), F(1)))
+
+
+# A zero bet adds no product to the split, yet the split is still tested
+# exactly: a wrong other bet, or two zero bets against a positive credit.
+ZERO_BET_CHEATS = pytest.mark.parametrize(
+    "d, split",
+    [((0, 3), "1/2*0 + 1/2*3"), ((1, 0), "1/2*1 + 1/2*0"), ((0, 0), "1/2*0 + 1/2*0")],
+    ids=["zero-first", "zero-second", "both-zero"],
+)
+
+
+@ZERO_BET_CHEATS
+def test_simulate_checks_a_split_with_a_zero_bet(d, split):
+    with pytest.raises(AdamCheated) as info:
+        simulate(tiny_arena(), {"t1", "t2"}, 100, ScriptedAdam([d]))
+    assert str(info.value).endswith(f": {split} != 1")
+
+
+@ZERO_BET_CHEATS
+def test_eve_move_checks_a_split_with_a_zero_bet(d, split):
+    with pytest.raises(InvalidArgument) as info:
+        eve_move(tiny_arena(), {"t1", "t2"}, BettingConfig("v", F(1)), d)
+    assert str(info.value).endswith(f": {split} != 1")
+
+
+_bets = st.fractions(min_value=-1, max_value=10, max_denominator=60)
+
+
+@given(
+    w1=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
+    credit=st.fractions(min_value=0, max_value=10, max_denominator=60),
+    d=st.tuples(_bets, _bets),
+    zero=st.sampled_from([None, None, 0, 1]),
+    exact=st.booleans(),
+)
+def test_a_valuation_is_accepted_iff_it_splits_the_credit_exactly(
+    w1, credit, d, zero, exact
+):
+    # About half the valuations carry a zero bet (entry ``zero``); with
+    # ``exact`` the other entry is solved for, so the split holds whenever
+    # that bet comes out >= 0.
+    w2 = 1 - w1
+    d1, d2 = d
+    if zero == 0:
+        d1 = F(0)
+    elif zero == 1:
+        d2 = F(0)
+    if exact:
+        if zero == 1:
+            d1 = credit / w1
+        else:
+            d2 = (credit - w1 * d1) / w2
+    v = bv("v", "eve", "a", w1, "b", w2)
+    if d1 >= 0 and d2 >= 0 and w1 * d1 + w2 * d2 == credit:
+        assert betting._check_valuation(v, credit, (d1, d2)) == (d1, d2)
+    else:
+        with pytest.raises(InvalidArgument):
+            betting._check_valuation(v, credit, (d1, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +659,28 @@ def test_trace_csv_shape():
     assert len(lines) == len(tr.steps) + 1
 
 
+def test_an_object_too_long_to_print_is_named_by_its_bit_lengths():
+    config = BettingConfig("v", TINY_BET)
+    vertex = bv("v", "eve", "t", TINY_BET, "u", 1 - TINY_BET)
+    step = TraceStep(0, "v", TINY_BET, TINY_BET)
+    tiny = TINY_BET_TEXT
+    near_one = f"<{(10**5000 - 1).bit_length()}-bit/{(10**5000).bit_length()}-bit>"
+    assert repr(config) == f"BettingConfig(vertex='v', credit={tiny})"
+    assert repr(vertex) == (
+        f"BetVertex(id='v', kind='eve', edges=(('t', {tiny}), ('u', {near_one})))"
+    )
+    assert repr(step) == (
+        f"TraceStep(step=0, vertex='v', credit={tiny}, potential={tiny})"
+    )
+    assert repr(BettingGame((vertex,), config)) == (
+        f"BettingGame(vertices=({vertex!r},), initial={config!r})"
+    )
+    assert repr(Trace((step,), True, "target-credit", 1)) == (
+        f"Trace(steps=({step!r},), reached_target=True, end='target-credit',"
+        " step_bound=1)"
+    )
+
+
 def test_simulate_validates_the_arena_once(monkeypatch):
     calls = []
     real = betting.validate_betting
@@ -676,6 +760,51 @@ def test_traces_are_pinned(credit):
     assert digest.hexdigest() == TRACE_DIGESTS[credit]
 
 
+class _Recording(betting.Adversary):
+    """Plays as ``inner`` and keeps every valuation it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.valuations = []
+
+    def prepare(self, attr):
+        self.inner.prepare(attr)
+
+    def valuation(self, v, credit):
+        d = self.inner.valuation(v, credit)
+        self.valuations.append(d)
+        return d
+
+    def choose(self, v):
+        return self.inner.choose(v)
+
+
+@pytest.mark.parametrize("credit", sorted(TRACE_DIGESTS))
+def test_simulate_and_eve_move_make_the_same_pick(credit):
+    for seed in range(40):
+        bg, targets = random_betting_game(random.Random(seed), credit)
+        attr = attractor(bg, targets)
+        bound = step_bound(bg, 100)
+        for name in ("equal", "fund", "starve"):
+            adam = _Recording(ADAM_FACTORIES[name](seed))
+            # below the bound, a play that exhausts its credit returns its
+            # trace instead of raising StepBoundExceeded
+            tr = simulate(bg, targets, 100, adam, max_steps=bound - 1)
+            valuations = iter(adam.valuations)
+            for s, nxt in zip(tr.steps, tr.steps[1:]):
+                if bg.vertex(s.vertex).kind == "eve":
+                    here = BettingConfig(s.vertex, s.credit)
+                    d = next(valuations)
+                    assert eve_move(bg, targets, here, d) == BettingConfig(
+                        nxt.vertex, nxt.credit
+                    )
+            assert next(valuations, None) is None
+            for s in tr.steps:
+                assert s.potential == potential(
+                    attr, BettingConfig(s.vertex, s.credit)
+                )
+
+
 # ---------------------------------------------------------------------------
 # positive starting credit
 
@@ -746,11 +875,13 @@ def test_exhausted_credit_on_target_ends_the_play_at_once():
 
 
 def _worse_pick(attr, v, d):
-    """Eve's pick inverted: the successor of smallest potential."""
+    """Eve's pick inverted: the successor of smallest potential, returned as
+    ``betting._eve_pick`` returns its choice, ``(successor, credit,
+    potential)``."""
     options = [
-        BettingConfig(t, di) for (t, _), di in zip(v.edges, d) if t in attr.a
+        (t, di, di + attr.offsets[t]) for (t, _), di in zip(v.edges, d) if t in attr.a
     ]
-    return min(options, key=lambda c: c.credit + attr.offsets[c.vertex])
+    return min(options, key=lambda option: option[2])
 
 
 def test_potential_check_survives_optimized_mode():

@@ -141,6 +141,17 @@ def test_a_probability_too_long_to_print_is_named_by_its_bit_lengths():
         require_valid(g)
 
 
+def test_a_record_too_long_to_print_is_named_by_its_bit_lengths():
+    tiny = F(1, 10**5000)
+    bits = (10**5000).bit_length()
+    record = StateRecord("a", Kind.P1, (tiny, 0), (("a", 1),))
+    assert repr(record) == (
+        f"StateRecord(id='a', kind=<Kind.P1: 'p1'>, reward=(<1-bit/{bits}-bit>, 0),"
+        " transitions=(('a', 1),))"
+    )
+    assert repr(Game("a", (record,))) == f"Game(initial='a', states=({record!r},))"
+
+
 def test_require_valid_raises():
     g = Game("missing", (term("t"),))
     with pytest.raises(InvalidGame):
