@@ -22,17 +22,22 @@ state leaves every input unchanged in turn.
 ``value_iterate`` consumes ``iterates`` and is the one place that applies
 the stopping rules; its result carries the certified residual of every sweep
 (``IterationResult.residuals``), so callers report a run without replaying
-it.  On a stopping game it also stops at the exact answer: the Pareto curves
-have finitely many vertices with small-denominator rational coordinates, so
-after sweeps 1, 2, 4, 8, ... it rounds the iterate to denominators 10,
-100, ... and returns the first rounding that the fixpoint check accepts.
-The curve operator of a stopping game has exactly one fixpoint, so an
-accepted rounding is the Pareto-curve family itself.  Each rounding is
-first screened on two numbers per state, the right x and the top y of its
-curve, which the operator maps by max, min, weighted sum and reward alone;
-only a rounding that passes is made in full and checked.  The screen never
-drops a rounding the check accepts: rounding is monotone, so those numbers
-are the rounded curves' own, and an exact fixpoint reproduces them.
+it.  That residual is a constant times A_n, the largest worst-case survival
+probability after n steps, which ``_survival`` steps on integers: one
+numerator per state over L^n, L the lcm of the chance denominators.
+
+On a stopping game ``value_iterate`` also stops at the exact answer: the
+Pareto curves have finitely many vertices with small-denominator rational
+coordinates, so after sweeps 1, 2, 4, 8, ... it rounds the iterate to
+denominators 10, 100, ... and returns the first rounding that the fixpoint
+check accepts.  The curve operator of a stopping game has exactly one
+fixpoint, so an accepted rounding is the Pareto-curve family itself.  Each
+rounding is first screened on two numbers per state, the right x and the
+top y of its curve, which the operator maps by max, min, weighted sum and
+reward alone; only a rounding that passes is made in full and checked.  The
+screen never drops a rounding the check accepts: rounding is monotone, so
+those numbers are the rounded curves' own, and an exact fixpoint reproduces
+them.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Iterator, Mapping
 
 from .errors import InvalidArgument, InvariantBroken
@@ -199,23 +205,35 @@ def tail_bound(g: Game, n: int) -> Fraction:
     return ceiling * decay ** (n // len(g.states))
 
 
-def _alive_step(g: Game, alive: dict[str, Fraction]) -> dict[str, Fraction]:
-    """One backward step of the worst-case survival probability.
-
-    alive[s] bounds the probability that a play from s is still in a
-    non-terminal state after the step count so far, maximized over both
-    players' choices.
+def _survival(g: Game) -> Iterator[Fraction]:
+    """A_1, A_2, ...: A_n the largest probability, over the states and both
+    players' choices, of surviving n steps in a valid game.  Each state's
+    survival is one integer N over L^n, L the lcm of the probabilities'
+    denominators: a two-way chance state's N is (p1·L)·N[t1] + (p2·L)·N[t2],
+    any other non-terminal state's L·max of its successors', a terminal's 0.
     """
-    out: dict[str, Fraction] = {}
-    for s in g.states:
+    index = {s.id: i for i, s in enumerate(g.states)}
+    lcd = lcm(*(p.denominator for s in g.states for _, p in s.transitions))
+    sums, maxes = [], []
+    for i, s in enumerate(g.states):
         if s.kind is Kind.TERMINAL:
-            out[s.id] = Fraction(0)
-        elif s.kind is Kind.CHANCE and len(s.transitions) == 2:
-            (t1, p1), (t2, p2) = s.transitions
-            out[s.id] = p1 * alive[t1] + p2 * alive[t2]
-        else:  # a single chance successor has probability 1
-            out[s.id] = max(alive[t] for t, _ in s.transitions)
-    return out
+            continue
+        (t1, p1), (t2, p2) = s.transitions[0], s.transitions[-1]
+        if s.kind is Kind.CHANCE and len(s.transitions) == 2:
+            sums.append((i, index[t1], int(p1 * lcd), index[t2], int(p2 * lcd)))
+        else:  # a single successor is read twice
+            maxes.append((i, index[t1], index[t2]))
+    alive = [0 if s.kind is Kind.TERMINAL else 1 for s in g.states]
+    scale = 1
+    while True:
+        nxt = [0] * len(alive)
+        for i, j1, w1, j2, w2 in sums:
+            nxt[i] = w1 * alive[j1] + w2 * alive[j2]
+        for i, j1, j2 in maxes:
+            a, b = alive[j1], alive[j2]
+            nxt[i] = lcd * (a if a >= b else b)
+        alive, scale = nxt, scale * lcd
+        yield Fraction(max(alive, default=0), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +363,7 @@ def value_iterate(
     because n sweeps propagate information at least n steps deep, so the
     returned curves differ from the true ones by at most the expected
     reward collected after depth n (a residual of 0 is an exact stop).
+    A_n comes from ``_survival``, exactly, in integer arithmetic.
     (c) ``max_iters`` sweeps ran (converged = False; for non-stopping
     games the result is then only an iterate, not the least fixpoint).
 
@@ -368,9 +387,7 @@ def value_iterate(
     stopping = check_stopping(g).stopping
     if stopping:
         ceiling, _ = _tail_terms(g)
-    alive: dict[str, Fraction] = {
-        s.id: Fraction(0 if s.kind is Kind.TERMINAL else 1) for s in g.states
-    }
+        survival = _survival(g)
     residuals: list[Fraction] = []
 
     sweeps = iterates(g)
@@ -379,8 +396,7 @@ def value_iterate(
         fixpoint = nxt == curves
         curves = nxt
         if stopping:
-            alive = _alive_step(g, alive)
-            residuals.append(ceiling * max(alive.values(), default=Fraction(0)))
+            residuals.append(ceiling * next(survival))
             if not fixpoint and n & (n - 1) == 0:
                 snapped = _snap(g, curves, n)
                 if snapped is not None:

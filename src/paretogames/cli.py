@@ -87,11 +87,11 @@ def _write_curves(
     manifest: dict[str, str] = {}
     for sid in sorted(curves):
         name = _state_filename(sid, "csv")
-        (out_dir / name).write_text(frontier_to_csv(curves[sid]))
+        (out_dir / name).write_text(frontier_to_csv(curves[sid]), encoding="utf-8")
         manifest[sid] = name
         if svg:
             (out_dir / _state_filename(sid, "svg")).write_text(
-                frontier_to_svg(curves[sid], title=sid)
+                frontier_to_svg(curves[sid], title=sid), encoding="utf-8"
             )
     return manifest
 
@@ -174,8 +174,8 @@ def _cmd_solve_vi(args) -> int:
     bound = None if rb is None else fraction_str(rb)
     bounds = [fraction_str(r) for r in result.residuals] or ["n/a"] * result.iterations
     (out_dir / "iterations.log").write_text(
-        "\n".join(f"{n} residual_bound={b}" for n, b in enumerate(bounds, 1))
-        + "\n"
+        "".join(f"{n} residual_bound={b}\n" for n, b in enumerate(bounds, 1)),
+        encoding="utf-8",
     )
     run = {
         "epsilon": args.epsilon,
@@ -187,7 +187,9 @@ def _cmd_solve_vi(args) -> int:
         "note": result.note,
         "states": manifest,
     }
-    (out_dir / "run.json").write_text(json.dumps(run, indent=2) + "\n")
+    (out_dir / "run.json").write_text(
+        json.dumps(run, indent=2) + "\n", encoding="utf-8"
+    )
     print(
         f"converged={str(result.converged).lower()} "
         f"iterations={result.iterations} residual_bound={bound or 'n/a'}"
@@ -243,7 +245,9 @@ def _cmd_betting_sim(args) -> int:
         )
         if out_dir:  # made only once a play has succeeded
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"trace_{run}.csv").write_text(trace_to_csv(trace))
+            (out_dir / f"trace_{run}.csv").write_text(
+                trace_to_csv(trace), encoding="utf-8"
+            )
     print(f"all {args.runs} runs reached the target set")
     return OK
 

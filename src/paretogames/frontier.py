@@ -25,6 +25,9 @@ emitting the minimum and the exact crossings in x order.  Only
 ``canonicalize``, which takes arbitrary points, sorts.  Each operation wraps
 a private kernel that adds a shift (a Bellman update's reward) to the
 vertices of the one ``Frontier`` it builds; the operation passes (0, 0).
+Two single-vertex inputs (corners), the common case on a large game, skip
+the walk: their union is the one corner or both, their intersection the
+corner of the two minima, their weighted sum the one vertex p·a + q·b.
 """
 
 from __future__ import annotations
@@ -291,6 +294,9 @@ def dwc_conv_union(f1: Frontier, f2: Frontier) -> Frontier:
 
 
 def _union(f1: Frontier, f2: Frontier, shift: Point) -> Frontier:
+    if len(f1.vertices) == len(f2.vertices) == 1:  # two corners: one or both
+        a, b = sorted((f1.vertices[0], f2.vertices[0]))
+        return Frontier(tuple(_shifted([b] if a[1] <= b[1] else [a, b], shift)))
     return _hull_of_sorted(list(merge(f1.vertices, f2.vertices)), shift)
 
 
@@ -314,6 +320,9 @@ def intersect_min(f1: Frontier, f2: Frontier) -> Frontier:
 
 def _intersect(f1: Frontier, f2: Frontier, shift: Point) -> Frontier:
     v1, v2 = f1.vertices, f2.vertices
+    if len(v1) == len(v2) == 1:  # two corners: the corner of the minima
+        ((xa, ya),), ((xb, yb),), (dx, dy) = v1, v2, shift
+        return Frontier(((min(xa, xb) + dx, min(ya, yb) + dy),))
     x_hi = min(f1.x_last, f2.x_last)
     pts: list[Point] = []
     i = j = 0
@@ -377,6 +386,9 @@ def _weighted_sum(
     p: Fraction, f: Frontier, q: Fraction, g: Frontier, shift: Point
 ) -> Frontier:
     """``weighted_sum``'s walk, the shift riding on the first scaled chain."""
+    if len(f.vertices) == len(g.vertices) == 1:  # two corners: one vertex
+        ((xa, ya),), ((xb, yb),), (dx, dy) = f.vertices, g.vertices, shift
+        return Frontier(((p * xa + q * xb + dx, p * ya + q * yb + dy),))
     a = _shifted([(p * x, p * y) for x, y in f.vertices], shift)
     b = [(q * x, q * y) for x, y in g.vertices]
     sa, sb = f.slopes, g.slopes

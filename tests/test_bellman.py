@@ -25,6 +25,7 @@ from paretogames import (
     canonicalize,
     check_determinacy,
     check_fixpoint,
+    check_stopping,
     contains,
     dwc_conv_union,
     evaluate,
@@ -300,12 +301,10 @@ def _iterate_within(g: Game, r: F) -> dict[str, Frontier]:
     """The first iterate whose survival residual, computed as
     ``value_iterate`` does, is at most r."""
     ceiling, _ = paretogames.bellman._tail_terms(g)
-    alive = {s.id: F(0 if s.kind is Kind.TERMINAL else 1) for s in g.states}
     sweeps = iterates(g)
     next(sweeps)
-    for curves in sweeps:
-        alive = paretogames.bellman._alive_step(g, alive)
-        if ceiling * max(alive.values()) <= r:
+    for curves, alive in zip(sweeps, paretogames.bellman._survival(g)):
+        if ceiling * alive <= r:
             return curves
 
 
@@ -360,6 +359,59 @@ def test_zero_survival_residual_is_an_exact_stop(seed):
     res = value_iterate(g, EPS, 10000)
     assert res.iterations == 3 and res.residuals[-1] == 0
     assert res.fixpoint_reached and check_fixpoint(g, res.curves)
+
+
+def _survival_by_fractions(g: Game):
+    """A_1, A_2, ... by the plain recurrence on Fractions: a chance state's
+    survival is the weighted sum of its successors', any other non-terminal
+    state's the max, a terminal's 0."""
+    alive = {s.id: F(0 if s.kind is Kind.TERMINAL else 1) for s in g.states}
+    while True:
+        alive = {
+            s.id: F(0)
+            if s.kind is Kind.TERMINAL
+            else sum(p * alive[t] for t, p in s.transitions)
+            if s.kind is Kind.CHANCE
+            else max(alive[t] for t in s.successors)
+            for s in g.states
+        }
+        yield max(alive.values())
+
+
+def test_survival_matches_the_fraction_recurrence():
+    for seed in range(60):
+        g = random_stopping_game(seed, max_states=10)
+        expected = list(islice(_survival_by_fractions(g), 40))
+        assert list(islice(paretogames.bellman._survival(g), 40)) == expected
+
+
+def _prime_after(n: int) -> int:
+    while True:
+        n += 1
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            return n
+
+
+def test_survival_matches_the_fraction_recurrence_on_large_prime_denominators():
+    # ten chance states, each leaving for the terminal with probability
+    # 1/p for a distinct 20-bit prime p, reached through maximizer and
+    # minimizer states with two successors, and one one-successor chance
+    # state: the common denominator L is a 200-bit product, and survival
+    # stays near 1 for all 250 steps
+    primes = [_prime_after(2**19 + 1000 * k) for k in range(10)]
+    states = [("t", "terminal", (0, 0), [("t", 1)])]
+    for i, p in enumerate(primes):
+        states += [
+            (f"c{i}", "chance", (1, 0), [(f"m{i}", 1 - F(1, p)), ("t", F(1, p))]),
+            (f"m{i}", "p1" if i % 2 else "p2", (0, 1),
+             [(f"c{(i + 1) % 10}", 1), (f"c{(i + 3) % 10}", 1)]),
+        ]
+    states.append(("u", "chance", (0, 0), [("c0", 1)]))
+    g = make_game("u", states)
+    assert len(set(primes)) == 10 and check_stopping(g).stopping
+    expected = list(islice(_survival_by_fractions(g), 250))
+    assert list(islice(paretogames.bellman._survival(g), 250)) == expected
+    assert 0 < expected[-1] < 1 and expected[-1].denominator.bit_length() > 2000
 
 
 def test_non_stopping_game_has_no_residuals():

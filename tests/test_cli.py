@@ -19,6 +19,7 @@ from paretogames import (
     Game,
     Kind,
     StateRecord,
+    betting_to_json,
     frontier_to_csv,
     make_game,
     save_betting,
@@ -266,6 +267,60 @@ def test_iterations_log_of_a_non_stopping_game(tmp_path, capsys):
     assert code == 3 and "residual_bound=n/a" in out
     log = (out_dir / "iterations.log").read_text().splitlines()
     assert log == [f"{n} residual_bound=n/a" for n in range(1, 5)]
+
+
+def test_solve_vi_max_iters_zero_writes_an_empty_log(heating_path, tmp_path, capsys):
+    out_dir = tmp_path / "vi"
+    code, out, _ = run(
+        capsys, "solve-vi", heating_path, "--max-iters", "0", "--out-dir", str(out_dir)
+    )
+    assert code == 3 and "iterations=0" in out
+    assert (out_dir / "iterations.log").read_bytes() == b""
+
+
+def test_written_files_are_utf8_whatever_the_locale(tmp_path):
+    # every text file the CLI writes names its encoding: with a default
+    # encoding made an error, non-ASCII ids still reach the SVG titles and
+    # the trace rows, as UTF-8
+    game = make_game(
+        "sé",
+        [
+            ("sé", "chance", (1, 0), [("t→", F(1, 2)), ("sé", F(1, 2))]),
+            ("t→", "terminal", (0, 0), [("t→", 1)]),
+        ],
+    )
+    save_game(game, tmp_path / "g.json")
+    bg, targets = random_betting_game(random.Random(3))
+    arena = json.dumps(betting_to_json(bg))
+    for v in bg.vertices:
+        arena = arena.replace(f'"{v.id}"', f'"{v.id}→é"')
+    (tmp_path / "bet.json").write_text(arena, encoding="utf-8")
+    target = ",".join(f"{t}→é" for t in sorted(targets))
+    script = (
+        "import sys\n"
+        "from paretogames.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv, code in (
+        (["solve-vi", "g.json", "--max-iters", "3", "--svg", "--out-dir", "vi"], 3),
+        (["betting-sim", "bet.json", "--target", target, "--out-dir", "bet"], 0),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-c", script, *argv],
+            capture_output=True,
+            timeout=60,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == code, done.stderr
+    svg = (tmp_path / "vi" / "s%C3%A9.svg").read_bytes().decode("utf-8")
+    assert ">sé</text>" in svg
+    for name in ("iterations.log", "run.json", "s%C3%A9.csv", "t%E2%86%92.csv"):
+        (tmp_path / "vi" / name).read_bytes().decode("utf-8")
+    trace = (tmp_path / "bet" / "trace_0.csv").read_bytes().decode("utf-8")
+    assert "→é," in trace
 
 
 def test_solve_vi_svg_output(fig3_path, tmp_path, capsys):
