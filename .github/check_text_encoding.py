@@ -4,6 +4,8 @@
 
 Parses every ``.py`` file under ``src/`` with the standard ``ast`` module and
 looks at each call of ``open``, ``.open``, ``.read_text`` and ``.write_text``.
+``os.open`` is not one of them: it returns a file descriptor and never
+decodes, and its second argument is a flag set, not a mode.
 A call in text mode (a mode that is not a literal holding ``b``, or none)
 must pass ``encoding``, by keyword or in its position; otherwise the
 locale picks the encoding.  Prints one line per such call and exits 1 if any.
@@ -30,6 +32,8 @@ def _callee(func: ast.expr) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id == "os":
+            return "os." + func.attr
         return "." + func.attr
     return None
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import urllib.parse
 from fractions import Fraction
@@ -52,6 +51,8 @@ from .frontier import (
     frontier_to_svg,
 )
 from .games import (
+    _write_json,
+    _write_text,
     check_stopping,
     discount_transform,
     load_game,
@@ -87,12 +88,11 @@ def _write_curves(
     manifest: dict[str, str] = {}
     for sid in sorted(curves):
         name = _state_filename(sid, "csv")
-        (out_dir / name).write_text(frontier_to_csv(curves[sid]), encoding="utf-8")
+        _write_text(out_dir / name, frontier_to_csv(curves[sid]))
         manifest[sid] = name
         if svg:
-            (out_dir / _state_filename(sid, "svg")).write_text(
-                frontier_to_svg(curves[sid], title=sid), encoding="utf-8"
-            )
+            svg_path = out_dir / _state_filename(sid, "svg")
+            _write_text(svg_path, frontier_to_svg(curves[sid], title=sid))
     return manifest
 
 
@@ -173,9 +173,9 @@ def _cmd_solve_vi(args) -> int:
     rb = result.residual_bound
     bound = None if rb is None else fraction_str(rb)
     bounds = [fraction_str(r) for r in result.residuals] or ["n/a"] * result.iterations
-    (out_dir / "iterations.log").write_text(
+    _write_text(
+        out_dir / "iterations.log",
         "".join(f"{n} residual_bound={b}\n" for n, b in enumerate(bounds, 1)),
-        encoding="utf-8",
     )
     run = {
         "epsilon": args.epsilon,
@@ -187,9 +187,7 @@ def _cmd_solve_vi(args) -> int:
         "note": result.note,
         "states": manifest,
     }
-    (out_dir / "run.json").write_text(
-        json.dumps(run, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(run, out_dir / "run.json")
     print(
         f"converged={str(result.converged).lower()} "
         f"iterations={result.iterations} residual_bound={bound or 'n/a'}"
@@ -245,9 +243,7 @@ def _cmd_betting_sim(args) -> int:
         )
         if out_dir:  # made only once a play has succeeded
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"trace_{run}.csv").write_text(
-                trace_to_csv(trace), encoding="utf-8"
-            )
+            _write_text(out_dir / f"trace_{run}.csv", trace_to_csv(trace))
     print(f"all {args.runs} runs reached the target set")
     return OK
 

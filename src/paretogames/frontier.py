@@ -35,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from heapq import merge
 from numbers import Rational
 from operator import itemgetter
@@ -50,21 +51,32 @@ RationalLike = Union[int, str, Fraction, Rational]
 MINUS_INFINITY = float("-inf")
 
 
+def _exact(value: int | str | Rational) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise InvalidArgument(f"zero denominator in {value!r}") from None
+    except ValueError as exc:  # a string that is no rational literal
+        raise InvalidArgument(str(exc)) from None
+
+
+#: Rewards and probabilities repeat across a game's states, so each distinct
+#: text is parsed once; a text that raises is not cached and raises each time.
+_parse_text = lru_cache(maxsize=1024)(_exact)
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, rational strings like ``"-2/3"``, and Fractions exactly."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # bool is an int; reject it as a coordinate
         raise TypeError("boolean is not a coordinate")
-    if isinstance(value, str) and "e" in value.lower():  # "1e9999999" is huge
-        raise InvalidArgument(f"exponent notation is not accepted: {value!r}")
-    if isinstance(value, (int, str, Rational)):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise InvalidArgument(f"zero denominator in {value!r}") from None
-        except ValueError as exc:  # a string that is no rational literal
-            raise InvalidArgument(str(exc)) from None
+    if isinstance(value, str):
+        if "e" in value.lower():  # "1e9999999" is huge
+            raise InvalidArgument(f"exponent notation is not accepted: {value!r}")
+        return _parse_text(value)
+    if isinstance(value, (int, Rational)):
+        return _exact(value)
     if isinstance(value, float):
         raise TypeError(
             "float coordinates are not accepted; pass Fraction, int, or 'p/q' string"

@@ -10,10 +10,12 @@ immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from stat import S_ISREG
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgument, InvalidGame, NotStopping, UnknownState
@@ -420,10 +422,39 @@ def _read_json(path, error: type[Exception]):
             raise error(f"{path}: malformed JSON: {exc}") from exc
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``: the one writer of the package.
+
+    An existing file is rewritten in place, never emptied first: on ext4, a
+    file truncated to zero and then rewritten has its blocks forced out when
+    it closes (``auto_da_alloc``), which made rewriting a solve's curve
+    directory about ten times slower.  After the write, only a regular file
+    longer than ``text`` is cut to the new length, so a pipe or a device
+    (``/dev/stdout``, ``os.devnull``) is just written.  ``O_BINARY`` (Windows
+    only) keeps the byte count equal to ``len(data)``.
+
+    The file is complete once this returns, but the write is not atomic and
+    not synced.  A kill between the write and the cut leaves the new text
+    followed by the tail of the old file; after a power loss the file can
+    hold old blocks under the new length.  Either can still parse, so after
+    a crash rerun into an empty directory rather than trust what is there.
+    """
+    data = text.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        st = os.fstat(fd)
+        if S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_json(data: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(data, indent=2) + "\n")
 
 
 def load_game(path) -> Game:

@@ -905,6 +905,7 @@ except InvariantBroken as exc:
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
         cwd=tests_dir,
     )

@@ -78,7 +78,8 @@ def test_validate_reports_violations(tmp_path, capsys):
                     }
                 ],
             }
-        )
+        ),
+        encoding="utf-8",
     )
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
@@ -96,7 +97,7 @@ def test_validate_missing_file_is_input_error(capsys):
 )
 def test_malformed_state_record_is_an_input_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert err.startswith("error: InvalidGame: malformed game description: ")
@@ -175,17 +176,17 @@ def test_solve_vi_five_sweeps_gives_four_vertices(fig3_path, tmp_path, capsys):
         str(out_dir),
     )
     assert code == 3  # max_iters reached without convergence
-    rows = (out_dir / "s0.csv").read_text().strip().splitlines()
+    rows = (out_dir / "s0.csv").read_text(encoding="utf-8").strip().splitlines()
     assert rows == [
         "0/1,271/1000",
         "81/200,19/100",
         "27/40,1/10",
         "7/8,0/1",
     ]
-    log = (out_dir / "iterations.log").read_text().strip().splitlines()
+    log = (out_dir / "iterations.log").read_text(encoding="utf-8").strip().splitlines()
     assert len(log) == 5
     assert all("residual_bound=" in line for line in log)
-    run_info = json.loads((out_dir / "run.json").read_text())
+    run_info = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
     assert run_info["converged"] is False and run_info["iterations"] == 5
 
 
@@ -196,10 +197,10 @@ def test_solve_vi_converges_on_heating(heating_path, tmp_path, capsys):
     )
     assert code == 0
     assert "converged=true iterations=32 residual_bound=0/1" in out
-    run_info = json.loads((out_dir / "run.json").read_text())
+    run_info = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
     assert run_info["converged"] is True
     assert run_info["fixpoint_reached"] is True
-    log = (out_dir / "iterations.log").read_text().splitlines()
+    log = (out_dir / "iterations.log").read_text(encoding="utf-8").splitlines()
     assert len(log) == 32
     # the snapping sweep keeps its survival bound in the log
     assert log[-1].startswith("32 residual_bound=")
@@ -213,9 +214,9 @@ def test_solve_vi_reports_a_zero_residual_as_exact(tmp_path, capsys):
     out_dir = tmp_path / "vi"
     code, out, _ = run(capsys, "solve-vi", str(p), "--out-dir", str(out_dir))
     assert (code, out) == (0, "converged=true iterations=3 residual_bound=0/1\n")
-    run_info = json.loads((out_dir / "run.json").read_text())
+    run_info = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
     assert run_info["fixpoint_reached"] is True and run_info["note"] == ""
-    log = (out_dir / "iterations.log").read_text().splitlines()
+    log = (out_dir / "iterations.log").read_text(encoding="utf-8").splitlines()
     assert log[-1] == "3 residual_bound=0/1"
 
 
@@ -234,7 +235,7 @@ def test_iterations_log_is_the_run_residuals(fig3, fig3_path, tmp_path, capsys):
     )
     assert code == 3
     result = value_iterate(fig3, F(1, 10**12), 12)
-    log = (out_dir / "iterations.log").read_text().splitlines()
+    log = (out_dir / "iterations.log").read_text(encoding="utf-8").splitlines()
     assert log == _log_lines(result) and len(log) == 12
 
 
@@ -248,7 +249,7 @@ def test_iterations_log_of_a_fixpoint_stop(tmp_path, capsys):
     code, out, _ = run(capsys, "solve-vi", str(p), "--out-dir", str(out_dir))
     assert code == 0
     assert f"iterations={result.iterations} residual_bound=0/1" in out
-    log = (out_dir / "iterations.log").read_text().splitlines()
+    log = (out_dir / "iterations.log").read_text(encoding="utf-8").splitlines()
     assert log == _log_lines(result) and len(log) == result.iterations
     # the fixpoint sweep keeps its certified residual in the log
     assert log[-1] != f"{result.iterations} residual_bound=0/1"
@@ -265,7 +266,7 @@ def test_iterations_log_of_a_non_stopping_game(tmp_path, capsys):
         capsys, "solve-vi", str(p), "--max-iters", "4", "--out-dir", str(out_dir)
     )
     assert code == 3 and "residual_bound=n/a" in out
-    log = (out_dir / "iterations.log").read_text().splitlines()
+    log = (out_dir / "iterations.log").read_text(encoding="utf-8").splitlines()
     assert log == [f"{n} residual_bound=n/a" for n in range(1, 5)]
 
 
@@ -323,6 +324,50 @@ def test_written_files_are_utf8_whatever_the_locale(tmp_path):
     assert "→é," in trace
 
 
+def test_solve_vi_rewrites_longer_files_to_the_bytes_of_a_fresh_run(
+    fig3_path, tmp_path, capsys
+):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    solve = ["solve-vi", fig3_path, "--max-iters", "5", "--svg", "--out-dir"]
+    assert run(capsys, *solve, str(fresh))[0] == 3
+    longer = ["solve-vi", fig3_path, "--max-iters", "12", "--svg", "--out-dir"]
+    assert run(capsys, *longer, str(reused))[0] == 3
+    for name in ("run.json", "iterations.log"):
+        with open(reused / name, "ab") as fh:
+            fh.write(b" " * 4096)
+    before = {p.name: p.stat().st_size for p in reused.iterdir()}
+    assert run(capsys, *solve, str(reused))[0] == 3
+    written = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert {p.name: p.read_bytes() for p in reused.iterdir()} == written
+    modes = {p.name: p.stat().st_mode for p in fresh.iterdir()}
+    assert {p.name: p.stat().st_mode for p in reused.iterdir()} == modes
+    cut = sorted(name for name, data in written.items() if before[name] > len(data))
+    assert cut == [
+        "iterations.log", "run.json",
+        "s0.csv", "s0.svg", "s1.csv", "s1.svg", "s2.csv", "s2.svg",
+    ]
+
+
+def test_normalize_writes_to_a_pipe_and_to_the_null_device(
+    heating_path, tmp_path, capsys
+):
+    code, out, _ = run(capsys, "normalize", heating_path, "-o", os.devnull)
+    assert code == 0 and out == f"wrote {os.devnull}\n"
+    as_file = tmp_path / "normal.json"
+    assert run(capsys, "normalize", heating_path, "-o", str(as_file))[0] == 0
+    if not os.path.exists("/dev/stdout"):
+        return
+    done = subprocess.run(
+        [sys.executable, "-m", "paretogames.cli",
+         "normalize", heating_path, "-o", "/dev/stdout"],
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == as_file.read_bytes() + b"wrote /dev/stdout\n"
+
+
 def test_solve_vi_svg_output(fig3_path, tmp_path, capsys):
     out_dir = tmp_path / "svg"
     code, _, _ = run(
@@ -338,7 +383,7 @@ def test_solve_vi_svg_output(fig3_path, tmp_path, capsys):
         str(out_dir),
     )
     assert code == 3
-    svg = (out_dir / "s0.svg").read_text()
+    svg = (out_dir / "s0.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg") and "polyline" in svg
 
 
@@ -385,7 +430,7 @@ def test_solve_determined_heating_pins_cc_curve(
         capsys, "solve-determined", heating_path, "--out-dir", str(out_dir)
     )
     assert code == 0
-    rows = (out_dir / "CC1.csv").read_text().strip().splitlines()
+    rows = (out_dir / "CC1.csv").read_text(encoding="utf-8").strip().splitlines()
     assert rows == ["-2/1,-1/1", "-1/1,-2/1"]
 
 
@@ -433,7 +478,7 @@ def test_query_vi_yes_at_a_vertex_of_the_exact_curve(heating_path, capsys):
 
 def _nd_path(tmp_path):
     game = tmp_path / "nd.json"
-    game.write_text(json.dumps(NOT_DETERMINED))
+    game.write_text(json.dumps(NOT_DETERMINED), encoding="utf-8")
     return str(game)
 
 
@@ -555,6 +600,7 @@ def test_not_determined_survives_optimized_mode(tmp_path):
         [sys.executable, "-O", "-c", script, _nd_path(tmp_path)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
@@ -581,7 +627,7 @@ def test_check_determinacy_flag_changes_nothing(
         written = run(
             capsys, "solve-determined", game, *flag, "--out-dir", str(out_dir)
         )
-        files = {p.name: p.read_text() for p in out_dir.iterdir()}
+        files = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
         runs.append((printed, written, files))
     assert runs[0] == runs[1]
 
@@ -624,14 +670,14 @@ def _zero_prob_game(tmp_path):
             {"id": "t", "kind": "terminal", "reward": ["0", "0"],
              "transitions": [{"to": "t"}]},
         ],
-    }))
+    }), encoding="utf-8")
     return ["validate", str(p)]
 
 
 def _zero_csv_audit(tmp_path, heating_path):
     curves = tmp_path / "curves"
     curves.mkdir()
-    (curves / "CC1.csv").write_text("1/0,0\n")
+    (curves / "CC1.csv").write_text("1/0,0\n", encoding="utf-8")
     return ["audit", heating_path, "--curves", str(curves)]
 
 
@@ -640,9 +686,9 @@ def _zero_betting(tmp_path, bound="100", weight=None):
     p = tmp_path / "bet.json"
     save_betting(bg, p)
     if weight is not None:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
         data["states"][0]["transitions"][0]["weight"] = weight
-        p.write_text(json.dumps(data))
+        p.write_text(json.dumps(data), encoding="utf-8")
     return ["betting-sim", str(p), "--target", ",".join(sorted(targets)),
             "--bound", bound]
 
@@ -787,10 +833,29 @@ def test_audit_of_solver_output_passes(heating_path, tmp_path, capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+def test_audit_of_a_rewritten_curve_directory_matches_a_fresh_one(
+    heating_path, tmp_path, capsys
+):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    run(capsys, "solve-vi", heating_path, "--max-iters", "8", "--out-dir", str(reused))
+    before = {p.name: p.stat().st_size for p in reused.glob("*.csv")}
+    for out_dir in (fresh, reused):
+        solve = ["solve-determined", heating_path, "--out-dir", str(out_dir)]
+        assert run(capsys, *solve)[0] == 0
+    csvs = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert {p.name: p.read_bytes() for p in reused.glob("*.csv")} == csvs
+    assert sum(before[name] > len(data) for name, data in csvs.items()) >= 5
+    reports = [
+        run(capsys, "audit", heating_path, "--curves", str(out_dir))
+        for out_dir in (fresh, reused)
+    ]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
 def test_audit_catches_corruption(heating_path, tmp_path, capsys):
     out_dir = tmp_path / "curves"
     run(capsys, "solve-determined", heating_path, "--out-dir", str(out_dir))
-    (out_dir / "CC1.csv").write_text("-1/1,-1/1\n0/1,-2/1\n")
+    (out_dir / "CC1.csv").write_text("-1/1,-1/1\n0/1,-2/1\n", encoding="utf-8")
     code, out, _ = run(
         capsys, "audit", heating_path, "--curves", str(out_dir)
     )
@@ -811,7 +876,9 @@ def test_audit_rejects_an_invalid_game(tmp_path, capsys):
     out_dir = tmp_path / "curves"
     out_dir.mkdir()
     for sid, verts in pts.items():
-        (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(tuple(verts))))
+        (out_dir / f"{sid}.csv").write_text(
+            frontier_to_csv(Frontier(tuple(verts))), encoding="utf-8"
+        )
     code, out, _ = run(capsys, "audit", str(path), "--curves", str(out_dir))
     assert code == 1
     assert out == "FAIL (1 checks)\n  invalid game: a: more than 2 successors (3)\n"
@@ -840,7 +907,9 @@ def test_audit_passes_a_valid_family_whose_slopes_are_too_long_to_print(
     out_dir.mkdir()
     curves = {"p": (a, b), "a": (a,), "b": (b,), "t": ((F(0), F(0)),)}
     for sid, verts in curves.items():
-        (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(verts)))
+        (out_dir / f"{sid}.csv").write_text(
+            frontier_to_csv(Frontier(verts)), encoding="utf-8"
+        )
     code, out, err = run(capsys, "audit", str(path), "--curves", str(out_dir))
     assert (code, err) == (0, "") and out.startswith("PASS")
 
@@ -885,7 +954,9 @@ def test_audit_fails_a_mismatch_whose_curves_are_too_long_to_print(
     out_dir = tmp_path / "curves"
     out_dir.mkdir()
     for sid, verts in curves.items():
-        (out_dir / f"{sid}.csv").write_text(frontier_to_csv(Frontier(verts)))
+        (out_dir / f"{sid}.csv").write_text(
+            frontier_to_csv(Frontier(verts)), encoding="utf-8"
+        )
     code, out, err = run(capsys, "audit", str(path), "--curves", str(out_dir))
     assert (code, err) == (1, "") and out.startswith("FAIL")
     assert "[p] relation mismatch" in out
@@ -924,7 +995,7 @@ def test_betting_sim_writes_traces(betting_path, tmp_path, capsys):
     assert code == 0
     assert "all 3 runs reached the target set" in out
     for i in range(3):
-        lines = (out_dir / f"trace_{i}.csv").read_text().splitlines()
+        lines = (out_dir / f"trace_{i}.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "step,vertex,credit,potential"
     assert "reason=" in out and "end=" in out
 
@@ -1126,7 +1197,8 @@ def _help(capsys, *argv) -> str:
 
 
 def test_readme_command_table_matches_the_parser(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme_path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme_path.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `paretogames (\S+)([^`]*)` \|", readme, re.M)
     subcommands = re.search(r"\{([\w,-]+)\}", _help(capsys)).group(1)
     assert sorted(sub for sub, _ in rows) == sorted(subcommands.split(","))

@@ -253,6 +253,20 @@ def test_as_fraction_rejects_a_bool_and_a_non_number_as_type_errors():
         as_fraction(object())
 
 
+def test_as_fraction_raises_on_every_call_for_a_bad_text():
+    # parsed texts are cached, but a text that raises must raise each time
+    for text, message in (
+        ("1/0", "^zero denominator in '1/0'$"),
+        ("3/x", "^Invalid literal for Fraction: '3/x'$"),
+    ):
+        for _ in range(2):
+            with pytest.raises(InvalidArgument, match=message):
+                as_fraction(text)
+    assert as_fraction(" -2/4") == as_fraction("-1/2") == F(-1, 2)
+    with pytest.raises(InvalidArgument, match="^exponent notation"):
+        as_fraction("1e3")
+
+
 def test_repr_of_a_coordinate_too_long_to_print_gives_its_bit_lengths():
     big = F(10**5000 + 1, 3)
     bits = (10**5000 + 1).bit_length()

@@ -1,6 +1,7 @@
 """Game model: validation, stopping check, normalization, discounting."""
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction as F
 
@@ -30,6 +31,7 @@ from paretogames import (
     validate_game,
     value_iterate,
 )
+from paretogames.games import _write_text
 from randgen import random_game, random_stopping_game
 
 EPS = F(1, 1000)
@@ -410,6 +412,42 @@ def test_json_round_trip(heating, fig3, tmp_path):
         p = tmp_path / "g.json"
         save_game(g, p)
         assert load_game(p) == g
+
+
+def test_write_text_rewrites_in_place_and_cuts_only_a_longer_file(
+    tmp_path, monkeypatch
+):
+    opened, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+    # Windows opens in text mode unless O_BINARY is passed; a stand-in bit
+    # shows the writer passes it wherever the platform defines it.
+    binary = 1 << 30
+
+    def spy_open(path, flags, *rest):
+        opened.append(flags)
+        return real_open(path, flags & ~binary, *rest)
+
+    def spy_ftruncate(fd, length):
+        cuts.append(length)
+        real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    monkeypatch.setattr(os, "O_BINARY", binary, raising=False)
+    p = tmp_path / "out.txt"
+    texts = ["é→\n", "a longer text\n", "short\n", "equal\n", ""]
+    for text in texts:
+        _write_text(p, text)
+        assert p.read_bytes() == text.encode("utf-8")
+    _write_text(os.devnull, "a device is written, never cut\n")
+    monkeypatch.undo()
+    assert len(opened) == len(texts) + 1
+    assert not any(flags & os.O_TRUNC for flags in opened)
+    assert all(flags & binary for flags in opened)
+    assert cuts == [len("short\n"), 0]
+    with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+        pass
+    assert p.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
 
 def _one_state_json(kind: str = "p1", prob=1) -> dict:
