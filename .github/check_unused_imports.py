@@ -1,13 +1,14 @@
-"""Fail when a module of the package imports a name that it never reads.
+"""Fail when a module of the package or of the tests imports a name that it
+never reads.
 
     python3 .github/check_unused_imports.py
 
 Parses every ``src/paretogames/*.py`` but ``__init__.py`` (whose imports are
-the package's exports) with the standard ``ast`` module.  A name bound by an
-``import`` or ``from ... import`` statement, other than ``from __future__``,
-must be read somewhere in its module as a name (an annotation counts; a
-name inside a string does not).  Prints one line per unused name and exits
-1 if any.
+the package's exports), and every ``tests/*.py``, with the standard ``ast``
+module.  A name bound by an ``import`` or ``from ... import`` statement,
+other than ``from __future__``, must be read somewhere in its module as a
+name (an annotation counts; a name inside a string does not).  Prints one
+line per unused name and exits 1 if any.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "paretogames"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "paretogames"
+TESTS = ROOT / "tests"
 
 
 def unused(path: Path) -> list[str]:
@@ -34,15 +37,16 @@ def unused(path: Path) -> list[str]:
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in read:
-                    found.append(f"{path.name}:{node.lineno}: {bound} is never read")
+                    where = path.relative_to(ROOT)
+                    found.append(f"{where}:{node.lineno}: {bound} is never read")
     return found
 
 
 def main() -> int:
     found = [
         line
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+        if path.parent != PACKAGE or path.name != "__init__.py"
         for line in unused(path)
     ]
     for line in found:

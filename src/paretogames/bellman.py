@@ -357,13 +357,13 @@ def value_iterate(
     monotone, so these are the rounded curves' right x and top y, and the
     curve operations map them by exactly those rules.  Non-stopping games
     never snap, since their fixpoint is not unique.
-    (b) For stopping games, the certified residual drops to ``epsilon`` or
-    below.  The residual after sweep n is tail_bound(g, 0) * A_n, with A_n
-    the largest worst-case probability of surviving n steps; it is sound
-    because n sweeps propagate information at least n steps deep, so the
-    returned curves differ from the true ones by at most the expected
-    reward collected after depth n (a residual of 0 is an exact stop).
-    A_n comes from ``_survival``, exactly, in integer arithmetic.
+    (b) For stopping games, the certified residual drops to ``epsilon`` >= 0
+    or below (at 0, only an exact stop).  The residual after sweep n is
+    tail_bound(g, 0) * A_n, with A_n the largest worst-case probability of
+    surviving n steps; it is sound because n sweeps propagate information
+    at least n steps deep, so the returned curves differ from the true ones
+    by at most the expected reward collected after depth n (a residual of 0
+    is an exact stop).  A_n comes from ``_survival``, exactly, on integers.
     (c) ``max_iters`` sweeps ran (converged = False; for non-stopping
     games the result is then only an iterate, not the least fixpoint).
 
@@ -380,8 +380,8 @@ def value_iterate(
     tail_bound(g, 0) comes once from the helper behind ``tail_bound``.
     """
     epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidArgument(f"epsilon must be > 0, got {_text(epsilon)}")
+    if epsilon < 0:
+        raise InvalidArgument(f"epsilon must be >= 0, got {_text(epsilon)}")
     if max_iters < 0:
         raise InvalidArgument(f"max_iters must be >= 0, got {_text(max_iters)}")
     stopping = check_stopping(g).stopping
@@ -429,9 +429,9 @@ def achievable_within(
     curves: Mapping[str, Frontier],
     epsilon: RationalLike,
 ) -> str:
-    """Three-valued query for curves known only up to a residual epsilon:
-    "yes" when even z + (eps, eps) is dominated, "no" when z itself is not,
-    "unknown" in the eps-wide band between."""
+    """Three-valued query for curves within a residual epsilon of the true
+    ones, on either side: "yes" when even z + (eps, eps) is dominated, "no"
+    when even z - (eps, eps) is not, "unknown" in the band between."""
     _require_complete(g, curves)
     g.state(s)
     eps = as_fraction(epsilon)
@@ -440,6 +440,6 @@ def achievable_within(
     zx, zy = as_point(z)
     if contains(curves[s], (zx + eps, zy + eps)):
         return "yes"
-    if not contains(curves[s], (zx, zy)):
+    if not contains(curves[s], (zx - eps, zy - eps)):
         return "no"
     return "unknown"

@@ -4,17 +4,17 @@
 it writes or prints them, then ends with ``determined: true`` (exit 0) or
 ``determined: false`` (exit 1), so no curve leaves it uncertified.
 ``query`` answers from ``certified_curves``, which tries generated minimizer
-strategies, never enumerated, then value iteration: exact curves never give
-``unknown``.
+strategies, never enumerated, then value iteration until an exact stop or
+``--max-iters``: ``unknown`` means only that this sweep budget ran out.
 
 Exit codes: 0 ok; 1 verification-negative (invalid game, not stopping, not
 determined, audit failures, losing betting arena); 2 input error; 3 internal
-limit reached (iteration cap without convergence, betting step bound,
-exhausted betting credit, or an exact value with more digits than the
-interpreter writes out); 4 internal fault (a broken invariant or any
-other unexpected exception, i.e. a bug in this package).  Every error exits
-through a single one-line, machine-parsable message on stderr:
-``error: <ExceptionName>: <detail>``, or ``error: internal:
+limit reached (iteration cap without convergence, ``query``'s ``unknown``,
+betting step bound, exhausted betting credit, or an exact value with more
+digits than the interpreter writes out); 4 internal fault (a broken
+invariant or any other unexpected exception, i.e. a bug in this package).
+Every error exits through a single one-line, machine-parsable message on
+stderr: ``error: <ExceptionName>: <detail>``, or ``error: internal:
 <ExceptionName>: <detail>`` for exit code 4.
 """
 
@@ -210,9 +210,10 @@ def _cmd_query(args) -> int:
     g = load_game(args.game)
     g.state(args.state)
     z = _parse_point(args.point)
-    curves, residual = certified_curves(g, as_fraction(args.epsilon), args.max_iters)
-    print(achievable_within(g, args.state, z, curves, residual))
-    return OK
+    curves, residual = certified_curves(g, args.max_iters)
+    answer = achievable_within(g, args.state, z, curves, residual)
+    print(answer)
+    return LIMIT if answer == "unknown" else OK
 
 
 def _cmd_audit(args) -> int:
@@ -309,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--state", required=True)
     p.add_argument("--point", required=True, help="x,y with rational coordinates")
-    p.add_argument("--epsilon", default="1/1000")
     p.add_argument("--max-iters", type=int, default=10000)
 
     p = sub.add_parser("audit", help="slope-law audit of a curve directory")

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .bellman import CurveMap, check_fixpoint, value_iterate
 from .errors import InvalidArgument
-from .frontier import Point, RationalLike, _text, as_fraction, intersect_min
+from .frontier import Point, _text, intersect_min
 from .games import Game, Kind, require_stopping, require_valid
 from .mdp import (
     MDStrategy,
@@ -164,23 +164,19 @@ def check_determinacy(g: Game) -> tuple[bool, CurveMap]:
     return check_fixpoint(g, curves), curves
 
 
-def certified_curves(
-    g: Game, epsilon: RationalLike, max_iters: int
-) -> tuple[CurveMap, Fraction]:
+def certified_curves(g: Game, max_iters: int) -> tuple[CurveMap, Fraction]:
     """The Pareto curves of a stopping game and a certified bound on their
     error, 0 when certified exact: the fold of ``check_determinacy``'s
-    generated strategies when it passes ``check_fixpoint``, else
-    ``value_iterate``'s.  No strategy is enumerated: enumeration can only
-    show that a game is not determined, and its fold is then not the
-    answer.  Bad options and NotStopping raise first."""
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidArgument(f"epsilon must be > 0, got {_text(epsilon)}")
+    generated strategies when it passes ``check_fixpoint``, else the curves
+    and residual of ``value_iterate`` at epsilon 0, which sweeps until an
+    exact stop or ``max_iters``.  No strategy is enumerated: enumeration
+    can only show that a game is not determined, and its fold is then not
+    the answer.  Bad options and NotStopping raise first."""
     if max_iters < 1:
         raise InvalidArgument(f"max_iters must be >= 1, got {_text(max_iters)}")
     require_stopping(g, "an achievability query requires a stopping game")
     determined, curves = _generate(g, {}, set())
     if determined:
         return curves, Fraction(0)
-    result = value_iterate(g, epsilon, max_iters)
+    result = value_iterate(g, 0, max_iters)
     return result.curves, result.residual_bound

@@ -18,7 +18,13 @@ from functools import cached_property
 from stat import S_ISREG
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidArgument, InvalidGame, NotStopping, UnknownState
+from .errors import (
+    InvalidArgument,
+    InvalidGame,
+    InvariantBroken,
+    NotStopping,
+    UnknownState,
+)
 from .frontier import (
     Point,
     RationalLike,
@@ -273,6 +279,13 @@ def _binary_split(g: Game) -> Game:
     return Game(g.initial, tuple(out))
 
 
+def _built(g: Game) -> Game:
+    """g, built by a transform from a valid game: a violation is a bug."""
+    if g._violations:
+        raise InvariantBroken("built an invalid game: " + "; ".join(g._violations))
+    return g
+
+
 def _reroute(g: Game, via: Mapping[str, str]) -> list[StateRecord]:
     """g's states with every edge into a key of ``via`` sent to its value
     instead; ``via`` names no terminal, so self-loops stay put."""
@@ -298,12 +311,7 @@ def normalize(g: Game) -> Game:
     g = _binary_split(g)
     taken = set(g.state_ids)
     # one relocation state per nonzero-reward carrier
-    needs_move = [
-        s for s in g.states if s.reward != (0, 0) and s.kind is not Kind.P2
-    ]
-    if not needs_move:
-        require_valid(g)
-        return g
+    needs_move = [s for s in g.states if s.reward != (0, 0) and s.kind is not Kind.P2]
     entry_for = {s.id: _fresh_id(f"{s.id}__in", taken) for s in needs_move}
     out = [
         StateRecord(s.id, s.kind, (0, 0), s.transitions) if s.id in entry_for else s
@@ -313,10 +321,7 @@ def normalize(g: Game) -> Game:
         StateRecord(entry_for[s.id], Kind.P2, s.reward, ((s.id, Fraction(1)),))
         for s in needs_move
     ]
-    initial = entry_for.get(g.initial, g.initial)
-    result = Game(initial, tuple(out))
-    require_valid(result)
-    return result
+    return _built(Game(entry_for.get(g.initial, g.initial), tuple(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +361,7 @@ def discount_transform(g: Game, delta: RationalLike) -> Game:
             sink, Kind.TERMINAL, (Fraction(0), Fraction(0)), ((sink, Fraction(1)),)
         )
     )
-    result = Game(g.initial, tuple(out))
-    require_valid(result)
-    return result
+    return _built(Game(g.initial, tuple(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ from paretogames import (
     achievable_within,
     bellman_step,
     canonicalize,
+    certified_curves,
     check_determinacy,
     check_fixpoint,
     check_stopping,
     contains,
+    discount_transform,
     dwc_conv_union,
     evaluate,
     extremal_points,
@@ -212,9 +214,9 @@ def test_max_iters_hit_reports_not_converged(fig3):
     assert res.iterations == 3
 
 
-def test_nonpositive_epsilon_rejected(fig3):
-    with pytest.raises(InvalidArgument):
-        value_iterate(fig3, 0, 10)
+def test_negative_epsilon_rejected(fig3):
+    with pytest.raises(InvalidArgument, match="^epsilon must be >= 0, got -1/2$"):
+        value_iterate(fig3, F(-1, 2), 10)
 
 
 def test_negative_max_iters_rejected(fig3):
@@ -351,6 +353,24 @@ def test_epsilon_rule_still_stops_runs_that_do_not_snap():
     assert res.converged and not res.fixpoint_reached
     assert res.iterations == 117
     assert 0 < res.residual_bound <= EPS
+
+
+@pytest.mark.parametrize("name", ["heating", "fig3"])
+def test_zero_epsilon_stops_only_exactly(name, heating, fig3):
+    g = heating if name == "heating" else fig3
+    res = value_iterate(g, 0, 10000)
+    assert res.converged and res.fixpoint_reached
+    assert res.iterations == 32 and res.residual_bound == 0
+    assert res.curves == exact_map(HEATING_EXACT if name == "heating" else FIG3_EXACT)
+
+
+@pytest.mark.parametrize("name", ["heating", "fig3"])
+def test_zero_epsilon_below_the_exact_stop_hits_the_cap(name, heating, fig3):
+    g = heating if name == "heating" else fig3
+    res = value_iterate(g, 0, 31)
+    assert not res.converged and not res.fixpoint_reached
+    assert res.iterations == len(res.residuals) == 31
+    assert res.residual_bound == res.residuals[-1] > 0
 
 
 @pytest.mark.parametrize("seed", [1, 11, 15, 42, 62])
@@ -634,6 +654,74 @@ def test_achievable_within_three_values(fig3):
         achievable_within(fig3, "s0", (F(1, 2), F(1, 2)), curves, EPS)
         == "unknown"
     )
+
+
+def test_achievable_within_no_is_sound_below_the_true_curve():
+    # V*(a) = (2,2); one sweep from the origin gives (1,1) with residual 24,
+    # so (19/10, 19/10) lies in the band and is not a "no"
+    g = make_game(
+        "a",
+        [
+            ("a", "p1", (1, 1), [("c", 1)]),
+            ("c", "chance", (0, 0), [("a", F(1, 2)), ("t", F(1, 2))]),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    res = value_iterate(g, 0, 1)
+    assert res.curves["a"] == frontier_of([(F(1), F(1))])
+    assert res.residual_bound == 24
+    z = (F(19, 10), F(19, 10))
+    assert achievable_within(g, "a", z, res.curves, 24) == "unknown"
+    exact, residual = certified_curves(g, 100)
+    assert residual == 0 and exact["a"] == frontier_of([(F(2), F(2))])
+    assert achievable_within(g, "a", z, exact, 0) == "yes"
+
+
+def _with_rewards(g: Game, how) -> Game:
+    states = (replace(s, reward=(how(s.reward[0]), how(s.reward[1]))) for s in g.states)
+    return Game(g.initial, tuple(states))
+
+
+def _agreement_games():
+    for seed in range(20):
+        g = random_stopping_game(seed)
+        yield g
+        yield _with_rewards(g, abs)
+        yield _with_rewards(g, lambda r: -r)
+    for seed in range(6):
+        yield discount_transform(random_game(seed), F(1, 2))
+
+
+def _probe_points(curves: dict[str, Frontier], sid: str, r: F):
+    """Points on, above and below the vertices of curves[sid], by offsets
+    up to twice the residual r and by fixed steps."""
+    steps = {F(0), F(1, 10), F(1), r / 2, r, 2 * r}
+    for x, y in curves[sid].vertices:
+        for d in steps:
+            for dx, dy in ((d, d), (-d, -d), (d, -d), (-d, d), (d, 0), (0, d)):
+                yield (x + dx, y + dy)
+
+
+def test_early_answers_agree_with_the_exact_curves():
+    # a yes or no taken from an early iterate and its residual must agree
+    # with containment in the exact curves, whichever side the iterate is on
+    decided = {"yes": 0, "no": 0}
+    for g in _agreement_games():
+        exact, residual = certified_curves(g, 10000)
+        assert residual == 0
+        for n in (1, 2, 4, 8):
+            res = value_iterate(g, 0, n)
+            r = res.residual_bound
+            for sid in g.state_ids:
+                for z in {*_probe_points(res.curves, sid, r),
+                          *_probe_points(exact, sid, r)}:
+                    answer = achievable_within(g, sid, z, res.curves, r)
+                    if answer != "unknown":
+                        decided[answer] += 1
+                        assert (answer == "yes") == contains(exact[sid], z), (
+                            sid, n, z
+                        )
+    assert decided["yes"] > 1000 and decided["no"] > 5000
 
 
 def test_achievable_within_rejects_negative_epsilon(fig3):

@@ -28,6 +28,7 @@ from paretogames import (
 )
 import paretogames.cli
 import paretogames.determined
+import paretogames.games
 from paretogames.cli import main
 from conftest import NOT_DETERMINED, p2_chain_game, three_successor_game
 from randgen import random_betting_game, random_stopping_game
@@ -132,6 +133,25 @@ def test_normalize_output_revalidates(heating_path, tmp_path, capsys):
     assert code == 0 and f"wrote {out_file}" in out
     code, out, _ = run(capsys, "validate", str(out_file))
     assert code == 0 and out.strip() == "valid"
+
+
+def test_normalize_building_an_invalid_game_is_an_internal_fault(
+    heating_path, tmp_path, capsys, monkeypatch
+):
+    # the input is valid, so an invalid output is a bug, not an input error
+    split = paretogames.games._binary_split
+
+    def dangling(g):
+        out = split(g)
+        x = StateRecord("x", Kind.P1, (F(0), F(0)), (("nowhere", F(1)),))
+        return Game(out.initial, out.states + (x,))
+
+    monkeypatch.setattr(paretogames.games, "_binary_split", dangling)
+    out_file = tmp_path / "normal.json"
+    code, out, err = run(capsys, "normalize", heating_path, "-o", str(out_file))
+    assert (code, out) == (4, "") and not out_file.exists()
+    assert err.startswith("error: internal: InvariantBroken: ")
+    assert "transition to unknown state 'nowhere'" in err and err.count("\n") == 1
 
 
 def test_discount_output_revalidates_and_stops(fig3_path, tmp_path, capsys):
@@ -511,14 +531,66 @@ def test_query_on_a_non_stopping_game_never_sweeps(tmp_path, capsys, monkeypatch
     )
 
 
-@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
-def test_query_rejects_a_non_positive_epsilon(heating_path, capsys, epsilon):
-    code, out, err = run(
-        capsys, "query", heating_path, "--state", "HH1", "--point=0,0",
-        f"--epsilon={epsilon}",
+def _p_path(tmp_path):
+    """NOT_DETERMINED behind a new initial state: p (Player 1, reward
+    (10,10)) -> chance c (1/2 back to p, 1/2 to s0).  Generation does not
+    certify it, so query falls through to value iteration, which stops
+    exactly at sweep 16 with (79/4, 53/3) on the curve at p."""
+    game = {
+        "initial": "p",
+        "states": NOT_DETERMINED["states"] + [
+            {"id": "p", "kind": "p1", "reward": ["10", "10"],
+             "transitions": [{"to": "c"}]},
+            {"id": "c", "kind": "chance", "reward": ["0", "0"],
+             "transitions": [{"to": "p", "prob": "1/2"},
+                             {"to": "s0", "prob": "1/2"}]},
+        ],
+    }
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(game), encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "budget, code, answer",
+    [(["--max-iters", "1"], 3, "unknown"), (["--max-iters", "4"], 3, "unknown"),
+     (["--max-iters", "16"], 0, "yes"), ([], 0, "yes")],
+    ids=["1", "4", "16", "default"],
+)
+def test_query_answers_unknown_only_when_the_sweep_budget_runs_out(
+    tmp_path, capsys, budget, code, answer
+):
+    # after one sweep the iterate at p lies below (19,17), but within the
+    # residual: answering "no" there would be wrong
+    got = run(
+        capsys, "query", _p_path(tmp_path), "--state", "p", "--point=19,17", *budget
     )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: InvalidArgument: epsilon must be > 0")
+    assert got == (code, answer + "\n", "")
+
+
+def test_query_has_no_epsilon_option(heating_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["query", heating_path, "--state", "HH1", "--point=0,0",
+              "--epsilon", "1/1000"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+
+
+def test_query_help_offers_state_point_and_max_iters(capsys):
+    with pytest.raises(SystemExit):
+        main(["query", "--help"])
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--state", "--point", "--max-iters"}
+
+
+def test_solve_vi_accepts_a_zero_epsilon(heating_path, tmp_path, capsys):
+    out_dir = tmp_path / "vi"
+    code, out, _ = run(
+        capsys, "solve-vi", heating_path, "--epsilon", "0", "--out-dir", str(out_dir)
+    )
+    assert (code, out) == (0, "converged=true iterations=32 residual_bound=0/1\n")
+    run_json = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
+    assert run_json["fixpoint_reached"] is True
 
 
 def test_query_with_many_minimizer_strategies_answers_quickly(
@@ -721,12 +793,10 @@ def test_zero_denominator_is_an_input_error(
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda tmp, game, bet: ["solve-vi", game, "--epsilon", "0",
+        lambda tmp, game, bet: ["solve-vi", game, "--epsilon=-1/2",
                                 "--out-dir", str(tmp / "vi")],
         lambda tmp, game, bet: ["solve-vi", game, "--max-iters", "-1",
                                 "--out-dir", str(tmp / "vi")],
-        lambda tmp, game, bet: ["query", game, "--state", "HH1", "--point=0,0",
-                                "--epsilon", "0"],
         lambda tmp, game, bet: ["query", game, "--state", "HH1", "--point=0,0",
                                 "--max-iters", "0"],
         lambda tmp, game, bet: ["query", game, "--state", "HH1", "--point=1"],
@@ -740,7 +810,7 @@ def test_zero_denominator_is_an_input_error(
                                 "--runs", "0"],
         lambda tmp, game, bet: ["betting-sim", bet[0], "--target", ","],
     ],
-    ids=["vi-epsilon", "vi-max-iters", "query-epsilon", "query-max-iters",
+    ids=["vi-epsilon", "vi-max-iters", "query-max-iters",
          "query-point", "delta-0", "delta-1", "bound", "runs", "target"],
 )
 def test_a_bad_option_value_is_an_invalid_argument(

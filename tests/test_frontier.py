@@ -300,10 +300,7 @@ def _arena():
             id="achievable-epsilon",
         ),
         pytest.param(
-            lambda g: certified_curves(g, -TOO_LONG, 1), id="certified-epsilon"
-        ),
-        pytest.param(
-            lambda g: certified_curves(g, 1, -TOO_LONG), id="certified-max_iters"
+            lambda g: certified_curves(g, -TOO_LONG), id="certified-max_iters"
         ),
         pytest.param(lambda g: step_bound(_arena(), -TOO_LONG), id="credit-bound"),
     ],

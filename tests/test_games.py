@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import os
-import random
 from fractions import Fraction as F
 
 import pytest
 
+import paretogames.games
 from paretogames import (
     Game,
     InvalidArgument,
     InvalidGame,
+    InvariantBroken,
     Kind,
     StateRecord,
     UnknownState,
@@ -399,6 +400,38 @@ def test_discount_delta_out_of_range(fig3):
     for delta in (F(0), F(1), F(3, 2), F(-1, 2)):
         with pytest.raises(InvalidArgument):
             discount_transform(fig3, delta)
+
+
+# ---------------------------------------------------------------------------
+# a transform that builds an invalid game
+
+
+def _with_dangling_edge(helper):
+    """``helper``, patched to add a state with an edge to no state."""
+    def patched(*args):
+        out = helper(*args)
+        dangling = StateRecord("x", Kind.P1, (F(0), F(0)), (("nowhere", F(1)),))
+        if isinstance(out, Game):
+            return Game(out.initial, out.states + (dangling,))
+        return out + [dangling]
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "helper, transform",
+    [("_binary_split", normalize), ("_reroute", normalize),
+     ("_reroute", lambda g: discount_transform(g, F(1, 2)))],
+    ids=["normalize-split", "normalize-reroute", "discount-reroute"],
+)
+def test_an_invalid_transform_output_is_an_internal_fault(
+    heating, monkeypatch, helper, transform
+):
+    # heating passes validation, so a violation in the output is a bug here
+    patched = _with_dangling_edge(getattr(paretogames.games, helper))
+    monkeypatch.setattr(paretogames.games, helper, patched)
+    with pytest.raises(InvariantBroken, match="transition to unknown state 'nowhere'"):
+        transform(heating)
 
 
 # ---------------------------------------------------------------------------
