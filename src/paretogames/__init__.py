@@ -5,9 +5,10 @@ two reward dimensions, the frontier of point vectors the maximizing player
 can ensure: exact curves of determined stopping games, certified from the
 minimizer strategies that scalarized strategy iteration generates, with
 memoryless-strategy enumeration as fallback; anytime approximations by value
-iteration with sound residual bounds; structural audits of the slope laws
-those curves obey; a reduction from discounted to total reward; and a
-simulation harness for the credit-growth strategy in inverse betting games.
+iteration with sound residual bounds; audits of each state's curve
+equation and of the slope laws those curves obey; a reduction from
+discounted to total reward; and a simulation harness for the credit-growth
+strategy in inverse betting games.
 
 Everything is exact: coordinates, probabilities, and rewards are
 ``fractions.Fraction`` throughout; no float enters any computation.  Floats
@@ -15,6 +16,8 @@ appear only in rendered SVG coordinates and as ``MINUS_INFINITY``, the
 sentinel right slope of the vertical ray that ``slope_at`` returns at a
 curve's last vertex and the slope audits compare against.
 """
+
+from types import ModuleType as _Module
 
 from .errors import (
     AdamCheated,
@@ -131,4 +134,7 @@ from .audit import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name but the submodules that the imports above bind
+__all__ = sorted(
+    n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _Module)
+)

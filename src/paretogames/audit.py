@@ -1,11 +1,11 @@
-"""Structural slope audits for curve families.
+"""Curve-equation and slope audits for curve families.
 
-Every non-terminal state's curve is related to its successors' curves by one
-operator application (union-hull for maximizer states, pointwise-min for
-minimizer states, weighted Minkowski sum for chance states, plus the reward
-shift).  Every relation auditor takes the parent before the reward shift;
-``audit_game`` undoes each state's shift once and then dispatches by kind.
-These relations leave slope fingerprints:
+``audit_game`` checks each state, terminals included, with the solver's own
+curve operator (``bellman._state_update``): a state's curve must be the
+update of its successors' curves.  Where that holds at a state with two
+successors, the slope laws of its kind run on its curve before the reward
+shift; ``audit_p1``, ``audit_p2`` and ``audit_chance`` check one relation
+alone, its equation and then its laws.  The laws are slope fingerprints:
 
 * a curve is a strictly concave, strictly decreasing polyline;
 * a maximizer parent's slopes are sandwiched between its successors' slopes,
@@ -17,9 +17,9 @@ These relations leave slope fingerprints:
   vertex per successor, recovered by maximizing a dot product, and the
   parent's left slope is the minimum of the decomposition's left slopes.
 
-The auditors check these fingerprints exactly and report violations; they are
-valid both for exact solution families and for consecutive iterates of the
-solver (which are related by exactly one operator application).
+The auditors check these exactly and report violations; they are valid both
+for exact solution families and for consecutive iterates of the solver
+(which are related by exactly one operator application).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from .bellman import _state_update
 from .errors import InvariantBroken
 from .frontier import (
     MINUS_INFINITY,
@@ -179,6 +180,14 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
             f"{succ1} and {succ2}"
         )
     col = _Collector()
+    _p1_laws(col, parent, succ1, succ2)
+    return col.report()
+
+
+def _p1_laws(
+    col: _Collector, parent: Frontier, succ1: Frontier, succ2: Frontier
+) -> None:
+    """The laws of ``audit_p1``, on a parent known to be its relation's output."""
     succ_vertices = set(succ1.vertices) | set(succ2.vertices)
     for x, y in parent.vertices:
         col.check(
@@ -201,7 +210,6 @@ def audit_p1(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
             "rslope not sandwiched",
             lambda: f"at x={x}: parent {r0} outside [{min(r1, r2)}, {max(r1, r2)}]",
         )
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +235,14 @@ def audit_p2(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
             f"{succ1} and {succ2}"
         )
     col = _Collector()
+    _p2_laws(col, parent, succ1, succ2)
+    return col.report()
+
+
+def _p2_laws(
+    col: _Collector, parent: Frontier, succ1: Frontier, succ2: Frontier
+) -> None:
+    """The laws of ``audit_p2``, on a parent known to be its relation's output."""
     x_cap = min(succ1.x_last, succ2.x_last)
     for x, _y in parent.vertices:
         y1 = evaluate(succ1, x)
@@ -266,7 +282,6 @@ def audit_p2(parent: Frontier, succ1: Frontier, succ2: Frontier) -> AuditReport:
                 "rslope not the lower curve's",
                 lambda: f"at x={x}: parent {r0} != lower {rl}",
             )
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +328,14 @@ def audit_chance(
             f"{p1}*{succ1} + {p2}*{succ2}"
         )
     col = _Collector()
+    _chance_laws(col, parent, succ1, succ2, p1, p2)
+    return col.report()
+
+
+def _chance_laws(
+    col: _Collector, parent: Frontier, succ1: Frontier, succ2: Frontier, p1, p2
+) -> None:
+    """The laws of ``audit_chance``, on a parent known to be the weighted sum."""
     for p in parent.vertices:
         m = _interior_direction(p, parent, succ1, succ2)
         w = (-m, Fraction(1))
@@ -345,7 +368,6 @@ def audit_chance(
             "lslope not min of parts",
             lambda: f"at x={p[0]}: parent {l0} != min({l1}, {l2})",
         )
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +379,11 @@ def audit_game(
     curves: Mapping[str, Frontier],
     prev: Mapping[str, Frontier] | None = None,
 ) -> AuditReport:
-    """Run per-kind audits at every non-terminal state; never raises.
+    """Check the curve equation at every state, then the slope laws at each
+    two-successor state whose equation holds; never raises.
 
     A game that ``validate_game`` rejects fails with one "invalid game"
-    finding per violation, before any relation check.
+    finding per violation, before any state is checked.
 
     Without ``prev`` the successors' curves are taken from ``curves`` (the
     right reading for a fixpoint family).  With ``prev``, curve families are
@@ -368,9 +391,12 @@ def audit_game(
     successor listed before the state contributes its updated curve, one
     listed at or after it contributes its previous curve.
 
-    Each state's curve is shifted back by its reward once; a state with one
-    successor must then equal that successor's curve, and the others go to
-    the relation auditor of their kind.
+    Each state's equation is one check: its curve must equal
+    ``bellman._state_update`` on that reading, the operator the solver runs.
+    A state gets one "missing curve" finding if its curve or a successor
+    curve it reads is absent, else one "relation mismatch" finding if its
+    equation fails.  Where it holds at a state with two successors, the laws
+    of the state's kind run on its curve shifted back by its reward.
     """
     invalid = validate_game(g).violations
     if invalid:
@@ -379,50 +405,32 @@ def audit_game(
             findings=tuple(AuditFinding("", "invalid game", v) for v in invalid),
             checks_run=1,
         )
-    position = {s.id: i for i, s in enumerate(g.states)}
+    view = curves if prev is None else dict(prev)
     col = _Collector()
-
-    def succ_curve(state_pos: int, target: str) -> Frontier | None:
-        if target not in curves or (prev is not None and target not in prev):
-            return None
-        if prev is None or position[target] < state_pos:
-            return curves[target]
-        return prev[target]
-
-    for i, s in enumerate(g.states):
-        if s.kind is Kind.TERMINAL:
-            continue
-        col.where = s.id
-        col.checks += 1
-        succs = [succ_curve(i, t) for t in s.successors]
-        missing = [t for t, f in zip(s.successors, succs) if f is None]
-        if s.id not in curves or missing:
-            col.findings.append(
-                AuditFinding(
-                    s.id,
-                    "missing curve",
-                    f"successors {missing} have no curve"
-                    if s.id in curves
-                    else "state has no curve entry",
-                )
+    for s in g.states:
+        col.where, curve = s.id, curves.get(s.id)
+        missing = [t for t in s.successors if view.get(t) is None]
+        if curve is None:
+            col.check(False, "missing curve", lambda: "state has no curve entry")
+        elif missing:
+            detail = f"successors {missing} have no curve"
+            col.check(False, "missing curve", lambda: detail)
+        else:
+            update = _state_update(s, view)
+            ok = col.check(
+                update == curve,
+                "relation mismatch",
+                lambda: f"{curve} is not its update {update}",
             )
-            continue
-        parent = translate(curves[s.id], (-s.reward[0], -s.reward[1]))
-        if len(succs) == 1:
-            col.check(
-                parent == succs[0],
-                "single-successor mismatch",
-                lambda: f"{parent} != successor {succs[0]}",
-            )
-            continue
-        if s.kind is Kind.P1:
-            sub = audit_p1(parent, *succs)
-        elif s.kind is Kind.P2:
-            sub = audit_p2(parent, *succs)
-        else:  # chance
-            sub = audit_chance(parent, *succs, *(p for _, p in s.transitions))
-        col.checks += sub.checks_run
-        col.findings.extend(
-            AuditFinding(s.id, f.check, f.detail) for f in sub.findings
-        )
+            if ok and len(s.transitions) == 2:
+                parent = translate(curve, (-s.reward[0], -s.reward[1]))
+                (t1, p1), (t2, p2) = s.transitions
+                if s.kind is Kind.P1:
+                    _p1_laws(col, parent, view[t1], view[t2])
+                elif s.kind is Kind.P2:
+                    _p2_laws(col, parent, view[t1], view[t2])
+                else:  # chance
+                    _chance_laws(col, parent, view[t1], view[t2], p1, p2)
+        if prev is not None:  # later states read this state's new curve
+            view[s.id] = curve
     return col.report()

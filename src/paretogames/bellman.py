@@ -32,12 +32,11 @@ coordinates, so after sweeps 1, 2, 4, 8, ... it rounds the iterate to
 denominators 10, 100, ... and returns the first rounding that the fixpoint
 check accepts.  The curve operator of a stopping game has exactly one
 fixpoint, so an accepted rounding is the Pareto-curve family itself.  Each
-rounding is first screened on two numbers per state, the right x and the
-top y of its curve, which the operator maps by max, min, weighted sum and
-reward alone; only a rounding that passes is made in full and checked.  The
-screen never drops a rounding the check accepts: rounding is monotone, so
-those numbers are the rounded curves' own, and an exact fixpoint reproduces
-them.
+rounding is first screened on one corner per state (``_snap``); only a
+rounding that passes is made in full and checked.
+
+``_state_update`` is the one statement of the operator: the sweeps, the
+fixpoint check, the snap screen and ``audit.audit_game`` all call it.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import InvalidArgument, InvariantBroken
 from .frontier import (
@@ -126,8 +125,9 @@ def _state_update(s: StateRecord, x: Mapping[str, Frontier]) -> Frontier:
     """The operator at ``s``, the reward added inside the operation.  The
     kernels skip the weight checks: every caller (``iterates``,
     ``bellman_step``, ``check_fixpoint``, ``value_iterate`` through
-    ``check_stopping``) has run ``require_valid``, which proves at most two
-    successors and chance probabilities positive and summing to 1."""
+    ``check_stopping``, ``audit.audit_game`` through ``validate_game``) has
+    proved the game valid: at most two successors, and chance probabilities
+    positive and summing to 1."""
     if s.kind is Kind.TERMINAL:
         return _ZERO
     if len(s.transitions) == 1:
@@ -148,10 +148,12 @@ def bellman_step(g: Game, x: Mapping[str, Frontier]) -> CurveMap:
     return {s.id: _state_update(s, x) for s in g.states}
 
 
-def _fixed_at_every_state(g: Game, v: Mapping[str, Frontier]) -> bool:
-    """True iff every state's update reproduces its curve in ``v``; stops
-    at the first state, in listed order, where it does not."""
-    return all(_state_update(s, v) == v[s.id] for s in g.states)
+def _fixed_at_every_state(
+    g: Game, v: Mapping[str, Frontier], key: Callable = lambda f: f
+) -> bool:
+    """True iff every state's update reproduces ``key`` of its curve in
+    ``v``; stops at the first state, in listed order, where it does not."""
+    return all(key(_state_update(s, v)) == key(v[s.id]) for s in g.states)
 
 
 def check_fixpoint(g: Game, v: Mapping[str, Frontier]) -> bool:
@@ -274,55 +276,41 @@ class _Snapped(dict):
 
 
 class _SnappedEnds(_Snapped):
-    """The right x and top y of each state's curve in ``curves``, the two
-    alone rounded to a denominator of at most ``d`` when first read."""
+    """Each state's curve in ``curves`` as one corner at its right x and top
+    y, the two alone rounded to a denominator of at most ``d`` when first
+    read."""
 
-    def __missing__(self, sid: str) -> tuple[Fraction, Fraction]:
-        f = self.curves[sid]
-        ends = self[sid] = (
-            f.x_last.limit_denominator(self.d),
-            f.y_first.limit_denominator(self.d),
-        )
-        return ends
+    def __missing__(self, sid: str) -> Frontier:
+        f, d = self.curves[sid], self.d
+        x, y = f.x_last.limit_denominator(d), f.y_first.limit_denominator(d)
+        corner = self[sid] = Frontier(((x, y),))
+        return corner
 
 
-def _ends_fixed(g: Game, ends: Mapping[str, tuple[Fraction, Fraction]]) -> bool:
-    """True iff at every state the (right x, top y) pair that the update
-    makes of its successors' pairs in ``ends`` is its own pair; stops at
-    the first state, in listed order, where it is not."""
-    for s in g.states:
-        if s.kind is Kind.TERMINAL:
-            update = (0, 0)
-        else:
-            xs, ys = zip(*(ends[t] for t in s.successors))
-            if s.kind is Kind.P1:
-                x, y = max(xs), max(ys)
-            elif s.kind is Kind.P2:
-                x, y = min(xs), min(ys)
-            else:  # chance
-                ps = [p for _, p in s.transitions]
-                x = sum(p * v for p, v in zip(ps, xs))
-                y = sum(p * v for p, v in zip(ps, ys))
-            update = (x + s.reward[0], y + s.reward[1])
-        if update != ends[s.id]:
-            return False
-    return True
+def _ends_fixed(g: Game, ends: Mapping[str, Frontier]) -> bool:
+    """``_fixed_at_every_state`` on the right x and top y alone."""
+    return _fixed_at_every_state(g, ends, lambda f: (f.x_last, f.y_first))
 
 
 def _snap(g: Game, curves: CurveMap, n: int) -> CurveMap | None:
     """The first rounding of ``curves`` to denominators d = 10, 100, ...,
     10^t (t the bit length of the sweep count n) that one simultaneous step
-    reproduces at every state, or None.  A candidate is first screened on
-    two numbers per state (``_ends_fixed`` on ``_SnappedEnds``), which
-    never drops one that the full check accepts.  ``limit_denominator(d)``
-    returns a closest fraction with denominator at most d, so rounding is
-    monotone and the rounded curves' right x and top y are the rounded
-    right x and top y; and the union, the intersection, the weighted sum
-    and the translation make their output's pair by the max, the min, the
-    weighted sum and the sum of their inputs' pairs.  Only a candidate
-    that passes is rounded in full, lazily, and dropped at its first
-    mismatching state, so a failing one costs a few states rather than a
-    sweep."""
+    reproduces at every state, or None.
+
+    A candidate is first screened on one corner per state: the update runs
+    on ``_SnappedEnds`` and must reproduce each state's right x and top y
+    (``_ends_fixed``).  The screen never drops a candidate that the full
+    check accepts.  ``limit_denominator(d)`` returns a closest fraction
+    with denominator at most d, so rounding is monotone and a rounded
+    curve's corner is its curve's corner, rounded.  The operator makes its
+    output's right x and top y from its inputs' alone, so on corners it
+    makes the same two numbers as on the rounded curves: a union of corners
+    has their maxima, an intersection of corners is the corner of their
+    minima, and a weighted sum or a translation of corners is one corner.
+    A rounding that the update reproduces therefore passes.  Only a
+    candidate that passes is rounded in full, lazily, and dropped at its
+    first mismatching state, so a failing one costs a few states rather
+    than a sweep."""
     for k in range(1, n.bit_length() + 1):
         if not _ends_fixed(g, _SnappedEnds(curves, 10**k)):
             continue
@@ -350,13 +338,9 @@ def value_iterate(
     between any two families by a factor below 1, so two fixpoints are at
     distance 0), and the Pareto-curve family is that fixpoint; so an
     accepted candidate *is* the family, however it was obtained.  A
-    candidate is rounded in full only if its right x and top y at every
-    state, rounded alone, are what the update makes of its successors'
-    (max at Player 1, min at Player 2, weighted sum at chance, each plus
-    the reward; (0, 0) at a terminal).  That screen is sound: rounding is
-    monotone, so these are the rounded curves' right x and top y, and the
-    curve operations map them by exactly those rules.  Non-stopping games
-    never snap, since their fixpoint is not unique.
+    candidate is rounded in full only if it passes a sound screen on one
+    corner per state (``_snap``).  Non-stopping games never snap, since
+    their fixpoint is not unique.
     (b) For stopping games, the certified residual drops to ``epsilon`` >= 0
     or below (at 0, only an exact stop).  The residual after sweep n is
     tail_bound(g, 0) * A_n, with A_n the largest worst-case probability of

@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Exact Pareto curves for two-objective total-reward stochastic "
             "games: validation, normalization, value iteration, exact "
-            "solving, achievability queries, slope audits, betting "
+            "solving, achievability queries, curve audits, betting "
             "simulations."
         ),
     )
@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="x,y with rational coordinates")
     p.add_argument("--max-iters", type=int, default=10000)
 
-    p = sub.add_parser("audit", help="slope-law audit of a curve directory")
+    p = sub.add_parser("audit", help="audit a curve directory: equations, slope laws")
     p.add_argument("game")
     p.add_argument("--curves", required=True, help="directory of per-state CSV")
 

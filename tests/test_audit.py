@@ -1,4 +1,5 @@
-"""Slope-relation audits between parent curves and their successors."""
+"""Curve-equation and slope-relation audits between parent curves and their
+successors."""
 from __future__ import annotations
 
 import random
@@ -8,12 +9,14 @@ from itertools import islice
 from conftest import FIG3_EXACT, HEATING_EXACT, frontier_of, three_successor_game
 from paretogames import (
     AuditFinding,
+    Kind,
     audit_chance,
     audit_frontier,
     audit_game,
     audit_p1,
     audit_p2,
     canonicalize,
+    check_fixpoint,
     iterates,
     make_game,
     translate,
@@ -270,8 +273,8 @@ def test_single_successor_mismatch_is_caught():
     assert rep.findings == (
         AuditFinding(
             "s",
-            "single-successor mismatch",
-            "Frontier[(0,1)] != successor Frontier[(0,0)]",
+            "relation mismatch",
+            "Frontier[(1,3)] is not its update Frontier[(1,2)]",
         ),
     )
 
@@ -305,3 +308,52 @@ def test_random_iterate_pairs_audit_clean_smoke():
         for n in range(1, len(hist)):
             rep = audit_game(g, hist[n], prev=hist[n - 1])
             assert rep.ok, rep.to_text()
+
+
+def _one_state_per_role(g):
+    """The first state of ``g`` in each role the curve equation treats on its
+    own: a terminal, a one-successor state, and a two-successor state of
+    each player kind."""
+    roles = {}
+    for s in g.states:
+        if s.kind is Kind.TERMINAL:
+            role = "terminal"
+        elif len(s.transitions) == 1:
+            role = "one successor"
+        else:
+            role = s.kind.value
+        roles.setdefault(role, s.id)
+    return roles
+
+
+def test_audit_verdict_is_the_curve_equations(fig3, heating):
+    # Each family is corrupted at one state at a time, in every role; the
+    # audit must agree with the solver's own check and name that state.
+    # A fixpoint family is judged by check_fixpoint, an iterate pair by
+    # equality with the in-place sweep that made the later iterate.
+    fixtures = [
+        (fig3, {sid: frontier_of(pts) for sid, pts in FIG3_EXACT.items()}),
+        (heating, {sid: frontier_of(pts) for sid, pts in HEATING_EXACT.items()}),
+    ]
+    games = [random_stopping_game(seed, max_states=8) for seed in range(40)]
+    solved = [(g, value_iterate(g, 0, 2000)) for g in games]
+    fixpoints = fixtures + [(g, r.curves) for g, r in solved if r.fixpoint_reached]
+    pairs = []
+    for g in [fig3, heating, *games[:20]]:
+        hist = list(islice(iterates(g), 5))
+        pairs += [(g, hist[n - 1], hist[n]) for n in (1, 2, 4)]
+    assert len(fixpoints) >= 30
+    covered = set()
+    for g, prev, fam in [(g, None, v) for g, v in fixpoints] + pairs:
+        assert audit_game(g, fam, prev=prev).ok
+        for role, sid in _one_state_per_role(g).items():
+            bad = dict(fam)
+            bad[sid] = translate(fam[sid], (1, 0))
+            # fam is the sweep of prev, which bad is not
+            holds = check_fixpoint(g, bad) if prev is None else bad == fam
+            rep = audit_game(g, bad, prev=prev)
+            assert rep.ok == holds and not holds, (g, sid)
+            assert sid in {f.where for f in rep.findings}, rep.to_text()
+            assert {f.check for f in rep.findings} == {"relation mismatch"}
+            covered.add(role)
+    assert covered == {"terminal", "one successor", "p1", "p2", "chance"}

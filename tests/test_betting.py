@@ -291,6 +291,25 @@ def test_eve_move_increment_bound_with_skewed_weights():
     assert potential(attr, nxt) >= potential(attr, cur) + delta
 
 
+def test_eve_move_skips_a_losing_successor_whatever_its_bet():
+    # e's first edge enters a cycle of Adam vertices that never reaches the
+    # target x; the whole credit is staked on it, and Eve still moves to x
+    # with her bet there, 0
+    bg = BettingGame(
+        (
+            bv("e", "eve", "a1", F(1, 2), "x", F(1, 2)),
+            bv("x", "eve", "e", F(1, 2), "a1", F(1, 2)),
+            bv("a1", "adam", "a2", F(1, 2), "a3", F(1, 2)),
+            bv("a2", "adam", "a3", F(1, 2), "a1", F(1, 2)),
+            bv("a3", "adam", "a1", F(1, 2), "a2", F(1, 2)),
+        ),
+        BettingConfig("e", F(1)),
+    )
+    assert attractor(bg, {"x"}).winning == {"e", "x"}
+    nxt = eve_move(bg, {"x"}, BettingConfig("e", F(1)), (F(2), F(0)))
+    assert nxt == BettingConfig("x", F(0))
+
+
 def test_eve_move_rejects_cheating_valuations():
     bg = tiny_arena()
     with pytest.raises(InvalidArgument):

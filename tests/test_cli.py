@@ -932,6 +932,34 @@ def test_audit_catches_corruption(heating_path, tmp_path, capsys):
     assert code == 1 and out.startswith("FAIL") and "CC1" in out
 
 
+def test_audit_checks_a_terminal_curve(tmp_path, capsys):
+    # a's curve is its update of t's, but t's is not (0,0): the family is
+    # no fixpoint, and solve-determined gives a (1,0) and t (0,0)
+    g = make_game(
+        "a",
+        [
+            ("a", "p1", (1, 0), [("t", 1)]),
+            ("t", "terminal", (0, 0), [("t", 1)]),
+        ],
+    )
+    path = tmp_path / "g.json"
+    save_game(g, path)
+    out_dir = tmp_path / "curves"
+    out_dir.mkdir()
+    (out_dir / "a.csv").write_text("6/1,5/1\n", encoding="utf-8")
+    (out_dir / "t.csv").write_text("5/1,5/1\n", encoding="utf-8")
+    code, out, err = run(capsys, "audit", str(path), "--curves", str(out_dir))
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAIL (2 checks)\n"
+        "  [t] relation mismatch: Frontier[(5,5)] is not its update Frontier[(0,0)]\n"
+    )
+    solved = tmp_path / "solved"
+    assert run(capsys, "solve-determined", str(path), "--out-dir", str(solved))[0] == 0
+    assert (solved / "a.csv").read_text(encoding="utf-8") == "1/1,0/1\n"
+    assert (solved / "t.csv").read_text(encoding="utf-8") == "0/1,0/1\n"
+
+
 def test_audit_of_an_empty_curve_directory_fails(heating_path, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
