@@ -17,21 +17,18 @@ Eve vertices because the best successor beats the weight-average, at Adam
 vertices because every successor strictly descends a — which yields the
 step-bounded reachability guarantee that the simulator checks per step.
 
-Every fact of an arena is derived once and cached on it: W, its powers
-W^0 ... W^|V| and the gain per step; and, per target set, the attractor
-with the offsets W^a(v) - W^|V|, so ``potential`` is one addition.  An
-arena is validated once per target set, when ``attractor`` first computes
-that set's result, and then trusted by every play; the cached result is
-read-only, as every play shares it.  Each play still checks every step
-exactly: the valuation, Adam's successor and the potential increment.
-
-One step computes each exact number once.  At an Eve vertex it checks the
-valuation's split (a zero bet adds no product to it), then the pick that
-``eve_move`` also makes adds each winning option's bet to its offset once
-(a zero bet's potential is the offset itself) and returns the successor,
-its credit and its potential.  At an Adam vertex the potential is the
-credit plus the chosen successor's offset.  The increment check and the
-trace read that potential; nothing computes it again.
+Every fact of an arena is derived once and cached on it: for W = n/d in
+lowest terms, the integers S * W^k (k = 0 ... |V|+1) over one scale S =
+d^(|V|+1); per target set, the attractor with the offsets W^a(v) - W^|V|,
+so ``potential`` is one addition.  An arena is validated once per target
+set, when ``attractor`` first computes it, then trusted by every play,
+which shares the read-only result.  A step computes each potential once,
+for the trace, in the pick that ``eve_move`` also makes or by one addition
+at an Adam vertex.  Its checks (the valuation, Adam's successor, the
+potential increment) run on integers over S: a sign is its numerator's,
+and the split, p' - p >= delta and the tests against B and the initial
+credit are cross-multiplied by positive denominators, so traces and
+messages are those of Fractions.
 
 An adversary (``Adversary``) gets what it reads and nothing more: the
 attractor once per play, through ``prepare(attr)``, then
@@ -135,15 +132,12 @@ class BettingGame:
         return frozenset(self._by_id)  # type: ignore[attr-defined]
 
     @cached_property
-    def _w_powers(self) -> tuple[Fraction, ...]:
-        """W^0, W^1, ..., W^|V|."""
-        w = self.min_weight
-        return tuple(w**k for k in range(len(self.vertices) + 1))
-
-    @cached_property
-    def _step_gain(self) -> Fraction:
-        """W^|V| - W^(|V|+1): the least potential increase per non-target step."""
-        return self._w_powers[-1] * (1 - self.min_weight)
+    def _scaled_powers(self) -> tuple[int, ...]:
+        """S * W^k = n^k * d^(|V|+1-k) for k = 0 ... |V|+1, W = n/d: the first
+        is S, the last two differ by S * (W^|V| - W^(|V|+1))."""
+        n, d = self.min_weight.numerator, self.min_weight.denominator
+        top = len(self.vertices) + 1
+        return tuple(n**k * d ** (top - k) for k in range(top + 1))
 
     @cached_property
     def _attractors(self) -> dict[frozenset[str], AttractorResult]:
@@ -241,8 +235,8 @@ def _compute_attractor(bg: BettingGame, targets: frozenset[str]) -> AttractorRes
                 continue
             layer[v.id] = k
             frontier_new = True
-    powers = bg._w_powers
-    offsets = {vid: powers[k] - powers[-1] for vid, k in a.items()}
+    powers = bg._scaled_powers
+    offsets = {vid: Fraction(powers[k] - powers[-2], powers[0]) for vid, k in a.items()}
     return AttractorResult(
         winning=frozenset(layer),
         sigma=MappingProxyType(sigma),
@@ -269,20 +263,18 @@ def _check_valuation(
 ) -> tuple[Fraction, Fraction]:
     """The valuation d as two Fractions, once it is checked to be two bets
     >= 0 that split ``credit`` exactly along v's weights: w1*d1 + w2*d2 =
-    credit.  A zero bet adds no product to the split, since w*0 = 0 exactly;
-    the equality with the credit is still tested exactly.  A fault raises
+    credit, tested on numerators and denominators.  A fault raises
     InvalidArgument."""
     if len(d) != 2:
         raise InvalidArgument(f"valuation needs two entries, got {len(d)}")
     d1, d2 = as_fraction(d[0]), as_fraction(d[1])
-    if d1 < 0 or d2 < 0:
+    x1, x2 = d1.numerator, d2.numerator
+    if x1 < 0 or x2 < 0:
         raise InvalidArgument(f"bets must be >= 0, got {_points_text((d1, d2))}")
     (_, w1), (_, w2) = v.edges
-    if d1 and d2:
-        split = w1 * d1 + w2 * d2
-    else:
-        split = w1 * d1 if d1 else w2 * d2 if d2 else _ZERO
-    if split != credit:
+    q1, q2 = w1.denominator * d1.denominator, w2.denominator * d2.denominator
+    split = (w1.numerator * x1 * q2 + w2.numerator * x2 * q1) * credit.denominator
+    if split != credit.numerator * q1 * q2:
         w1, d1, w2, d2, c = map(_text, (w1, d1, w2, d2, credit))
         raise InvalidArgument(
             f"bets must satisfy w1*d1 + w2*d2 = credit exactly: "
@@ -490,7 +482,8 @@ def step_bound(bg: BettingGame, B: RationalLike) -> int:
     B = as_fraction(B)
     if B <= 0:
         raise InvalidArgument(f"credit bound must be positive, got {_text(B)}")
-    return math.ceil((B + bg._w_powers[-1]) / bg._step_gain)
+    powers = bg._scaled_powers
+    return math.ceil((B * powers[0] + powers[-2]) / (powers[-2] - powers[-1]))
 
 
 def simulate(
@@ -506,15 +499,18 @@ def simulate(
     Requires Eve to win the reachability game from every vertex.  Checks
     the exact per-step potential increment along the way (raising
     InvariantBroken if it fails) and never runs past the derived step
-    bound.  A malformed or inexact valuation raises AdamCheated.  Each step
-    computes the next potential once, in Eve's pick (``_eve_pick``, looked
-    up at each call) or as one addition at an Adam vertex, and checks its
-    increment over the current one.
+    bound, nor past ``max_steps`` (None or an int >= 0).  A malformed or
+    inexact valuation raises AdamCheated.  Eve's pick is ``_eve_pick``,
+    looked up at each call; the checks run on integers over S.
 
     A credit of 0 can never grow again (every valuation must then be
     (0, 0)), so once the play sits on a target with credit 0 below a
     positive initial credit no target configuration is reachable; the play
     ends there as if the step limit were hit."""
+    if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
+        raise InvalidArgument(
+            f"max_steps must be None or an int >= 0, got {_text(max_steps)}"
+        )
     targets = frozenset(T)
     attr = attractor(bg, targets)
     if attr.winning != bg._id_set:
@@ -524,27 +520,30 @@ def simulate(
         )
     B = as_fraction(B)
     bound = step_bound(bg, B)
-    limit = bound if max_steps is None else max_steps
+    limit = bound if max_steps is None else min(bound, max_steps)
     adam.prepare(attr)
 
-    delta = bg._step_gain
-    offsets = attr.offsets
+    offsets, a, powers = attr.offsets, attr.a, bg._scaled_powers
+    scale, gain = powers[0], powers[-2] - powers[-1]  # S and S * delta
     c0 = bg.initial.credit
     vertex, credit = bg.initial.vertex, c0
+    num, den = c0n, c0d = c0.numerator, c0.denominator  # the credit
+    bn, bd = B.numerator, B.denominator
     p = potential(attr, bg.initial)
     steps = [TraceStep(0, vertex, credit, p)]
 
     n = 0
     while True:
-        if credit >= B:
+        if num * bd >= bn * den:  # credit >= B
             return Trace(tuple(steps), True, "target-bound", bound)
         exhausted = False
-        if vertex in targets:
-            if credit >= c0:
+        at_target = vertex in targets
+        if at_target:
+            if num * c0d >= c0n * den:  # credit >= c0
                 return Trace(tuple(steps), True, "target-credit", bound)
-            exhausted = credit == 0
+            exhausted = num == 0
         if n >= limit or exhausted:
-            if max_steps is not None and max_steps < bound:
+            if limit < bound:
                 return Trace(tuple(steps), False, "max-steps", bound)
             reason = f"no target configuration within {_text(limit)} steps"
             if exhausted:
@@ -561,18 +560,23 @@ def simulate(
             except (InvalidArgument, TypeError) as exc:
                 raise AdamCheated(str(exc)) from exc
             nxt, c_next, p_next = _eve_pick(attr, v, dd)
+            num_next, den_next = c_next.numerator, c_next.denominator
         else:
             nxt = adam.choose(v)
             if nxt not in v.successors:
                 raise AdamCheated(f"{v.id}: chose {nxt!r}, not a successor")
             c_next, p_next = credit, credit + offsets[nxt]
-        if vertex not in targets and p_next - p < delta:
+            num_next, den_next = num, den
+        # p_next - p >= delta, times S * den * den_next
+        if not at_target and (num_next * den - num * den_next) * scale < (
+            gain - powers[a[nxt]] + powers[a[vertex]]
+        ) * den * den_next:
             raise InvariantBroken(
                 f"potential increment {_text(p_next - p)} below "
-                f"{_text(delta)} at step {n} from {vertex} with credit "
-                f"{_text(credit)}"
+                f"{_text(Fraction(gain, scale))} at step {n} from {vertex} "
+                f"with credit {_text(credit)}"
             )
-        vertex, credit, p = nxt, c_next, p_next
+        vertex, credit, p, num, den = nxt, c_next, p_next, num_next, den_next
         n += 1
         steps.append(TraceStep(n, vertex, credit, p))
 

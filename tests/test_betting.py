@@ -477,6 +477,17 @@ def test_max_steps_cuts_simulation_short():
     assert len(tr.steps) - 1 <= 3
 
 
+@pytest.mark.parametrize(
+    "max_steps", [-1, 2.5, True], ids=["negative", "float", "bool"]
+)
+def test_a_max_steps_that_is_not_a_count_is_rejected(max_steps):
+    with pytest.raises(
+        InvalidArgument,
+        match=re.escape(f"max_steps must be None or an int >= 0, got {max_steps}"),
+    ):
+        simulate(tiny_arena(), {"t1", "t2"}, 100, EqualSplitAdam(), max_steps)
+
+
 def test_scripted_adversary_replays_exactly():
     bg = tiny_arena()
     adam = ScriptedAdam(valuations=[(F(0), F(2))])
@@ -873,6 +884,9 @@ def test_step_bound_escape_regression():
     )
     with pytest.raises(StepBoundExceeded, match="2135"):
         simulate(bg, {"v0"}, 100, RandomAdam(71333))
+    # a max_steps past the bound never lets the play run beyond it
+    with pytest.raises(StepBoundExceeded, match="within 2135 steps"):
+        simulate(bg, {"v0"}, 100, RandomAdam(71333), max_steps=10**4)
 
 
 def test_exhausted_credit_on_target_ends_the_play_at_once():
@@ -901,6 +915,47 @@ def _worse_pick(attr, v, d):
         (t, di, di + attr.offsets[t]) for (t, _), di in zip(v.edges, d) if t in attr.a
     ]
     return min(options, key=lambda option: option[2])
+
+
+def _pick_raising_by(increment):
+    """A pick for tiny_arena's start (v, 1) that moves to t1 and raises the
+    potential by exactly ``increment``, returned as ``betting._eve_pick``
+    returns its choice, ``(successor, credit, potential)``."""
+
+    def pick(attr, v, d):
+        credit = 1 + increment + attr.offsets[v.id] - attr.offsets["t1"]
+        return "t1", credit, credit + attr.offsets["t1"]
+
+    return pick
+
+
+def test_an_increment_of_exactly_delta_passes_the_check(monkeypatch):
+    delta = F(1, 16)  # W^|V| - W^(|V|+1) for W = 1/2 and three vertices
+    monkeypatch.setattr(betting, "_eve_pick", _pick_raising_by(delta))
+    tr = simulate(tiny_arena(), {"t2"}, F(17, 16), ScriptedAdam([(1, 1)]))
+    assert tr.end == "target-bound"
+    assert [s.potential - tr.steps[0].potential for s in tr.steps] == [0, delta]
+
+
+def test_an_increment_just_below_delta_breaks_the_invariant(monkeypatch):
+    increment = F(1, 16) - F(1, 2**80)
+    monkeypatch.setattr(betting, "_eve_pick", _pick_raising_by(increment))
+    with pytest.raises(InvariantBroken) as info:
+        simulate(tiny_arena(), {"t2"}, F(17, 16), ScriptedAdam([(1, 1)]))
+    assert str(info.value) == (
+        f"potential increment {increment} below 1/16 at step 0 from v "
+        "with credit 1"
+    )
+
+
+def test_the_scaled_powers_give_the_powers_of_w_and_the_offsets():
+    for seed in range(20):
+        bg, targets = random_betting_game(random.Random(seed))
+        w, size = bg.min_weight, len(bg.vertices)
+        powers = bg._scaled_powers
+        assert [F(p, powers[0]) for p in powers] == [w**k for k in range(size + 2)]
+        attr = attractor(bg, targets)
+        assert attr.offsets == {v: w**k - w**size for v, k in attr.a.items()}
 
 
 def test_potential_check_survives_optimized_mode():
